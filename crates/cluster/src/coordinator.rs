@@ -700,7 +700,7 @@ impl ClusterCoordinator {
             return Ok(result);
         }
         let hi = self.min_breakpoint(size, root, result.region.x_lo, suppressed, agg)?;
-        let x = Interval::new(result.region.x_lo, hi.max(result.region.x_hi));
+        let x = Interval::new(result.region.x_lo, hi);
         Ok(MaxRsResult {
             center: Point::new(x.representative(), result.center.y),
             total_weight: result.total_weight,
@@ -838,7 +838,7 @@ impl ClusterCoordinator {
             Some((negated_sum, x, y, from_tuple)) => {
                 let x = if from_tuple {
                     let hi = self.min_breakpoint(size, slab, x.lo, &[], agg)?;
-                    Interval::new(x.lo, hi.max(x.hi))
+                    Interval::new(x.lo, hi)
                 } else {
                     x
                 };

@@ -21,6 +21,7 @@ use maxrs_cluster::{
 use maxrs_core::{
     EngineOptions, ExactMaxRsOptions, MaxRsEngine, PreparedDataset, Query, ShardLayout,
 };
+use maxrs_datagen::{Dataset, DatasetKind, SPACE_EXTENT};
 use maxrs_em::{EmConfig, IoSnapshot, StorageBackend};
 use maxrs_geometry::{Rect, RectSize, WeightedPoint};
 
@@ -377,4 +378,27 @@ fn io_snapshot_is_invariant_across_topology_transport_and_backend() {
         3,
     ));
     assert_eq!(reference, fs, "backend changed the I/O");
+}
+
+/// Whole-space MinRS over sparse data ties at 0 in many arrangement cells;
+/// the cluster must report the same max-region as the unsharded run, not a
+/// wider cell that depends on where the shard and slab boundaries fall.
+#[test]
+fn whole_space_min_rs_is_the_same_on_a_cluster() {
+    let objects = Dataset::generate(DatasetKind::Gaussian, 20_000, 3).objects;
+    let query = Query::min_rs(
+        RectSize::square(5000.0),
+        Rect::new(0.0, SPACE_EXTENT, 0.0, SPACE_EXTENT),
+    );
+    let opts = EngineOptions {
+        em_config: EmConfig::new(4096, 256 * 1024).unwrap(),
+        exact: ExactMaxRsOptions::with_parallelism(2),
+        force_strategy: None,
+    };
+    let cluster = in_process_cluster(opts, &objects, 4, 2);
+    let unsharded = MaxRsEngine::with_options(opts).prepare(&objects).unwrap();
+    assert_eq!(
+        cluster.run(&query).unwrap().answer,
+        unsharded.run(&query).unwrap().answer
+    );
 }

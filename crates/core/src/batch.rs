@@ -27,13 +27,10 @@
 //! transfers to its queries.  Answers are **bit-identical** to per-query
 //! [`PreparedDataset::run`](crate::PreparedDataset::run) calls — in fact the
 //! per-query path *is* a batch of one, so the single-query and batched code
-//! can never diverge.  One caveat carries over from strategy selection: when
-//! several groups run concurrently, each group's sweep combines its slabs
-//! with the flat sequential MergeSweep instead of the parallel pairwise tree
-//! a lone query would use, which for **integer-valued weights** is exactly
-//! identical and for arbitrary floats shares the last-bit association caveat
-//! of [`merge_sweep_tree`](crate::merge_sweep::merge_sweep_tree()) — the
-//! same caveat that already applies between execution strategies.
+//! can never diverge.  When several groups run concurrently, each group's
+//! sweep solves its sub-slabs on one thread instead of several; both combine
+//! them with the same flat [`merge_sweep`](crate::merge_sweep()), so the
+//! answers are identical for any weights.
 //!
 //! # I/O attribution
 //!
@@ -632,7 +629,7 @@ fn finalize_min_rs(
                 // Widen the refined cell back to the full arrangement cell of
                 // the domain slab (see `crate::sweep`, canonical max-regions).
                 let hi = next_breakpoint_after(ctx, objects, size, slab, x.lo)?;
-                Interval::new(x.lo, hi.max(x.hi))
+                Interval::new(x.lo, hi)
             } else {
                 x
             };

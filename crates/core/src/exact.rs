@@ -8,9 +8,10 @@
 //!    (`O((N/B) log_{M/B}(N/B))` I/Os).
 //! 3. **Recurse**: if the rectangles of the current slab fit in the memory
 //!    budget `M`, run the in-memory plane sweep; otherwise divide the slab
-//!    into `m = Θ(M/B)` sub-slabs, distribute the rectangles
-//!    ([`crate::slab::distribute`]), solve each sub-slab recursively and
-//!    combine the child slab-files with [`merge_sweep`](crate::merge_sweep()).
+//!    into at most `m = Θ(M/B)` sub-slabs (see [`ExactMaxRsOptions::fanout`]),
+//!    distribute the rectangles ([`crate::slab::distribute`]), solve each
+//!    sub-slab recursively and combine the child slab-files in one
+//!    [`merge_sweep`](crate::merge_sweep()) pass.
 //! 4. **Extract** the best tuple of the final slab-file and **canonicalize**
 //!    it (widen to the full arrangement cell — see [`crate::sweep`],
 //!    "Canonical max-regions").
@@ -45,7 +46,15 @@ const MIN_POOL_BLOCKS_PER_WORKER: usize = 8;
 /// experiments; overrides exist for tests and ablation studies.
 #[derive(Debug, Clone, Copy)]
 pub struct ExactMaxRsOptions {
-    /// Override for the distribution fan-out `m` (default: `EmConfig::fanout`).
+    /// Override for the distribution fan-out: every recursion node splits
+    /// into exactly this many sub-slabs (at least 2).
+    ///
+    /// The default (`None`) sizes each node's fan-out from its input: a node
+    /// of `n` rectangles gets `⌈2n/M⌉` sub-slabs, clamped to
+    /// `2..=EmConfig::fanout` (the paper's `m = Θ(M/B)`).  Each child then
+    /// holds about `M/2` rectangles and is solved in memory, and the node's
+    /// MergeSweep reads no more child files than it needs; inputs above
+    /// `m·M/2` get the paper's `m`.
     pub fanout: Option<usize>,
     /// Override for the in-memory threshold `M`, in rectangles (default:
     /// `EmConfig::mem_records::<RectRecord>()`).
@@ -61,12 +70,10 @@ pub struct ExactMaxRsOptions {
     /// distribution sweep bit-for-bit).
     ///
     /// With more than one worker, the sub-slabs of the top recursion node are
-    /// solved concurrently and their slab-files are combined by the pairwise
-    /// [`merge_sweep_tree`](crate::merge_sweep_tree) reduction instead of the
-    /// flat `m`-way [`merge_sweep`](crate::merge_sweep()).  Results are
-    /// identical for integer-valued weights; see `merge_sweep_tree` for the
-    /// floating-point association caveat.  The worker count actually used is
-    /// additionally capped by the buffer size — see
+    /// solved concurrently; their slab-files are then combined by the same
+    /// one flat [`merge_sweep`](crate::merge_sweep()) pass the sequential
+    /// sweep uses, so results are bit-identical for any weights.  The worker
+    /// count actually used is additionally capped by the buffer size — see
     /// [`ExactMaxRsOptions::effective_parallelism`].
     ///
     /// **Memory-model note:** each worker keeps the full in-memory budget

@@ -142,7 +142,7 @@ pub use extensions::{
 };
 pub use frontier::{FrontierCursor, FrontierMap};
 pub use grid::{grid_cell, UniformGrid, GRID_CELL_LIMIT};
-pub use merge_sweep::{merge_sweep, merge_sweep_tree};
+pub use merge_sweep::merge_sweep;
 pub use parallel::{available_parallelism, parallel_map};
 pub use plane_sweep::{
     best_region_from_tuples, max_rs_in_memory, plane_sweep_slab, transform_objects, SweepScratch,

@@ -8,6 +8,9 @@
 //! * `tslab[i]` — the most recent max-interval tuple of sub-slab `i`,
 //!
 //! and emits, at every event y, the best max-interval over the union slab.
+//! Every recursion node combines all of its children in this **one** pass,
+//! whether the children were solved sequentially or concurrently, which is
+//! what keeps the whole algorithm at `O((N/B) log_{M/B}(N/B))` I/Os.
 //!
 //! Two refinements over the paper's pseudo-code:
 //!
@@ -20,12 +23,33 @@
 //!   do not attain the maximum (exactly on a shared rectangle edge), whereas
 //!   the interior of a single sub-slab max-interval always does; the reported
 //!   maximum value is identical either way.  See [`crate::plane_sweep`].
+//!
+//! # Cost per event
+//!
+//! The in-memory work per event is `O(log m)` rather than two `O(m)` scans,
+//! so a wide fan-out costs no more CPU than a narrow one:
+//!
+//! * the next event y comes from a min-heap of the reader heads, keyed by
+//!   [`total_order_bits`] of their y, and only the readers whose head sits at
+//!   that y are touched;
+//! * the best sub-slab comes from a leftmost-argmax tree over
+//!   `tslab[i].sum + up_sum[i]`, refreshed only along the slabs the event
+//!   changed (one leaf per consumed tuple, the covered range per spanning
+//!   event).
+//!
+//! Each total is computed exactly as a linear scan would compute it and ties
+//! go to the leftmost sub-slab, so the output is tuple-for-tuple the one of
+//! the plain scan over all `m` sub-slabs.
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 use maxrs_em::{EmContext, TupleFile, TupleReader};
 use maxrs_geometry::Interval;
 
 use crate::error::{CoreError, Result};
-use crate::parallel::parallel_map;
+use crate::events::total_order_bits;
 use crate::records::{SlabTuple, SpanEvent};
 
 /// Merges the slab-files `slab_files` (one per sub-slab, y-sorted) and the
@@ -80,21 +104,27 @@ pub(crate) fn merge_sweep_readers(
         .iter()
         .map(|s| SlabTuple::new(f64::NEG_INFINITY, s.lo, s.hi, 0.0))
         .collect();
+    let mut best = ArgmaxTree::new(m);
+
+    // Reader heads, smallest y first.
+    let mut heads = BinaryHeap::with_capacity(m);
+    for (i, reader) in readers.iter_mut().enumerate() {
+        if let Some(t) = reader.peek()? {
+            heads.push(Reverse((total_order_bits(t.y), i)));
+        }
+    }
 
     loop {
         // The next event y is the smallest head y over all inputs.
-        let mut next_y: Option<f64> = None;
-        for reader in readers.iter_mut() {
-            if let Some(t) = reader.peek()? {
-                next_y = Some(next_y.map_or(t.y, |y: f64| y.min(t.y)));
-            }
-        }
-        if let Some(e) = span_reader.peek()? {
-            next_y = Some(next_y.map_or(e.y, |y: f64| y.min(e.y)));
-        }
-        let y = match next_y {
-            Some(y) => y,
-            None => break,
+        let slab_y = match heads.peek() {
+            Some(&Reverse((_, i))) => readers[i].peek()?.map(|t| t.y),
+            None => None,
+        };
+        let span_y = span_reader.peek()?.map(|e| e.y);
+        let y = match (slab_y, span_y) {
+            (Some(a), Some(b)) => a.min(b),
+            (Some(y), None) | (None, Some(y)) => y,
+            (None, None) => break,
         };
 
         // Consume every record at exactly this y.
@@ -106,277 +136,99 @@ pub(crate) fn merge_sweep_readers(
             let hi = (e.slab_hi as usize).min(m.saturating_sub(1));
             // Events beyond the slab range are tolerated as no-ops, matching
             // the clamp on `slab_hi`.
-            if (e.slab_lo as usize) <= hi {
-                for sum in &mut up_sum[e.slab_lo as usize..=hi] {
+            let lo = e.slab_lo as usize;
+            if lo <= hi {
+                for sum in &mut up_sum[lo..=hi] {
                     *sum += e.delta();
                 }
+                best.refresh(lo, hi, |i| tslab[i].sum + up_sum[i]);
             }
         }
-        for (i, reader) in readers.iter_mut().enumerate() {
-            while let Some(t) = reader.peek()? {
-                if t.y > y {
-                    break;
-                }
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((_, i)) = *head;
+            let reader = &mut readers[i];
+            if reader.peek()?.is_some_and(|t| t.y > y) {
+                break;
+            }
+            while reader.peek()?.is_some_and(|t| t.y <= y) {
                 tslab[i] = reader.next_record()?.expect("peeked slab tuple");
             }
+            // Re-key the head in place (one sift), or drop the exhausted reader.
+            match reader.peek()? {
+                Some(t) => *head = Reverse((total_order_bits(t.y), i)),
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+            best.refresh(i, i, |i| tslab[i].sum + up_sum[i]);
         }
 
-        // Pick the best total over the sub-slabs and emit its max-interval.
-        let mut best_idx = 0usize;
-        let mut best = f64::NEG_INFINITY;
-        for i in 0..m {
-            let total = tslab[i].sum + up_sum[i];
-            if total > best {
-                best = total;
-                best_idx = i;
-            }
-        }
+        // Emit the leftmost best sub-slab's max-interval.
+        let (best_idx, total) = best.leftmost_max();
         let winner = &tslab[best_idx];
-        writer.push(&SlabTuple::new(y, winner.x_lo, winner.x_hi, best))?;
+        writer.push(&SlabTuple::new(y, winner.x_lo, winner.x_hi, total))?;
     }
 
     writer.finish().map_err(CoreError::from)
 }
 
-/// One node of the binary reduction tree built by [`merge_sweep_tree`]: a
-/// contiguous run `[lo, hi]` of sub-slab (leaf) indices.
+/// A leftmost-argmax tournament tree over `m` leaf values.
+///
+/// Leaves live at `nodes[cap..cap + m]` of an implicit binary tree (`cap` a
+/// power of two); each node holds the `(value, leaf)` winner of its subtree,
+/// the right child winning only when **strictly** greater.  That is exactly
+/// the answer of a left-to-right scan keeping the first strict maximum, so
+/// ties (including `-0.0` vs `0.0`) go to the leftmost leaf.  `NaN` leaves
+/// never win, as in the scan.
 #[derive(Debug)]
-struct ReduceNode {
-    lo: usize,
-    hi: usize,
-    children: Option<(usize, usize)>,
-    /// `(parent node, side)` where side 0 = left child, 1 = right child.
-    /// `None` only for the root.
-    parent: Option<(usize, u32)>,
+struct ArgmaxTree {
+    cap: usize,
+    nodes: Vec<(f64, usize)>,
 }
 
-/// Combines the slab-files of `m` sub-slabs by a **pairwise reduction tree**
-/// instead of one flat `m`-way sweep, so that independent pair-merges can run
-/// on different threads (`workers` bounds the thread count).
-///
-/// Adjacent slab-files are merged level by level — `(0,1), (2,3), …` — until
-/// one file remains; an odd file is carried to the next level unchanged.
-/// Every spanning event is routed to the *canonical nodes* of the tree that
-/// its slab range `[slab_lo, slab_hi]` decomposes into (the classic segment
-/// tree decomposition), and applied exactly once, at the pair-merge where that
-/// canonical node is one of the two children.  This reproduces the flat
-/// sweep's accounting: each spanned leaf receives each spanning weight exactly
-/// once.
-///
-/// The child files are consumed (deleted) as they are merged; `span_events` is
-/// left to the caller, matching [`merge_sweep`].
-///
-/// # Equivalence with [`merge_sweep`]
-///
-/// The output slab-file covers the same event `y`s with the same max-interval
-/// sums; [`best_region_from_tuples`](crate::plane_sweep::best_region_from_tuples)
-/// and the final answer extraction therefore yield the same result.  The one
-/// caveat is floating-point association: nested spanning weights are added in
-/// tree order rather than flat-scan order, so with weights whose sums are not
-/// exactly representable the last bits can differ.  Integer-valued weights
-/// (the paper's COUNT workloads and every generator in `maxrs-datagen`'s
-/// default mode) are bit-for-bit identical.
-pub fn merge_sweep_tree(
-    ctx: &EmContext,
-    slab_files: Vec<TupleFile<SlabTuple>>,
-    slabs: &[Interval],
-    span_events: &TupleFile<SpanEvent>,
-    workers: usize,
-) -> Result<TupleFile<SlabTuple>> {
-    if slab_files.len() != slabs.len() {
-        return Err(CoreError::Internal(format!(
-            "merge_sweep_tree got {} slab files but {} slabs",
-            slab_files.len(),
-            slabs.len()
-        )));
-    }
-    let m = slab_files.len();
-    if m <= 1 {
-        // Degenerate tree: defer to the flat sweep (which also applies any
-        // remaining span events to the single slab).
-        let merged = merge_sweep(ctx, &slab_files, slabs, span_events)?;
-        for f in slab_files {
-            ctx.delete_file(f)?;
+impl ArgmaxTree {
+    /// A tree over `m` leaves, all holding `0.0` — the sum of the initial
+    /// whole-slab placeholder tuples.  Padding leaves right of the real ones
+    /// hold `-inf`, so they never win.
+    fn new(m: usize) -> Self {
+        let cap = m.max(1).next_power_of_two();
+        let mut tree = ArgmaxTree {
+            cap,
+            nodes: vec![(f64::NEG_INFINITY, 0); 2 * cap],
+        };
+        if m > 0 {
+            tree.refresh(0, m - 1, |_| 0.0);
         }
-        return Ok(merged);
+        tree
     }
 
-    // ---- Build the reduction tree ------------------------------------------
-    let mut arena: Vec<ReduceNode> = (0..m)
-        .map(|i| ReduceNode {
-            lo: i,
-            hi: i,
-            children: None,
-            parent: None,
-        })
-        .collect();
-    let mut level: Vec<usize> = (0..m).collect();
-    // Merge nodes grouped by tree level, bottom-up.
-    let mut levels: Vec<Vec<usize>> = Vec::new();
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut merges = Vec::with_capacity(level.len() / 2);
-        let mut i = 0;
-        while i + 1 < level.len() {
-            let (l, r) = (level[i], level[i + 1]);
-            let id = arena.len();
-            arena.push(ReduceNode {
-                lo: arena[l].lo,
-                hi: arena[r].hi,
-                children: Some((l, r)),
-                parent: None,
-            });
-            arena[l].parent = Some((id, 0));
-            arena[r].parent = Some((id, 1));
-            merges.push(id);
-            next.push(id);
-            i += 2;
-        }
-        if i < level.len() {
-            next.push(level[i]); // odd node carried up unchanged
-        }
-        levels.push(merges);
-        level = next;
+    fn pull(&mut self, v: usize) {
+        let (l, r) = (self.nodes[2 * v], self.nodes[2 * v + 1]);
+        self.nodes[v] = if r.0 > l.0 { r } else { l };
     }
-    let root = level[0];
 
-    // ---- Route spanning events to their canonical pair-merges --------------
-    // Events stream from the y-sorted input file into one spill file per
-    // merge node, so the staging memory is O(nodes) block buffers — the same
-    // budget the distribution step uses for its m slab writers — not O(N)
-    // events, and the routed copies are accounted as I/O like every other
-    // intermediate of the EM pipeline.  Per-node order mirrors the y-sorted
-    // input, so the spill files need no re-sort.
-    let mut node_writers: Vec<Option<maxrs_em::TupleWriter<'_, SpanEvent>>> =
-        (0..arena.len()).map(|_| None).collect();
-    {
-        let mut reader = ctx.open_reader(span_events);
-        let mut stack: Vec<usize> = Vec::new();
-        while let Some(ev) = reader.next_record()? {
-            let lo = ev.slab_lo as usize;
-            let hi = (ev.slab_hi as usize).min(m - 1);
-            stack.push(root);
-            while let Some(v) = stack.pop() {
-                let node = &arena[v];
-                if node.lo > hi || node.hi < lo {
-                    continue;
-                }
-                if lo <= node.lo && node.hi <= hi {
-                    if let Some((parent, side)) = node.parent {
-                        let writer = match &mut node_writers[parent] {
-                            Some(w) => w,
-                            None => node_writers[parent].insert(ctx.create_writer()?),
-                        };
-                        writer.push(&SpanEvent {
-                            slab_lo: side,
-                            slab_hi: side,
-                            ..ev
-                        })?;
-                        continue;
-                    }
-                    // A span covering the whole tree falls through to the
-                    // children, each of which is then fully covered.
-                }
-                if let Some((l, r)) = node.children {
-                    stack.push(l);
-                    stack.push(r);
-                }
+    /// Re-reads leaves `lo..=hi` from `value` and repairs their ancestors:
+    /// `O((hi - lo) + log m)`.
+    fn refresh(&mut self, lo: usize, hi: usize, value: impl Fn(usize) -> f64) {
+        for i in lo..=hi {
+            let v = value(i);
+            self.nodes[self.cap + i] = (if v.is_nan() { f64::NEG_INFINITY } else { v }, i);
+        }
+        let (mut lo, mut hi) = ((self.cap + lo) / 2, (self.cap + hi) / 2);
+        while lo >= 1 {
+            for v in lo..=hi {
+                self.pull(v);
             }
-        }
-    }
-    let mut node_spans: Vec<Option<TupleFile<SpanEvent>>> = Vec::with_capacity(arena.len());
-    for writer in node_writers {
-        node_spans.push(match writer {
-            Some(w) => Some(w.finish()?),
-            None => None,
-        });
-    }
-
-    // ---- Execute the merges level by level, pairs in parallel --------------
-    let mut files: Vec<Option<TupleFile<SlabTuple>>> = slab_files.into_iter().map(Some).collect();
-    files.resize_with(arena.len(), || None);
-    let interval_of = |arena: &[ReduceNode], v: usize| -> Interval {
-        Interval::new(slabs[arena[v].lo].lo, slabs[arena[v].hi].hi)
-    };
-
-    /// Work unit of one pair-merge: `(node id, left file, right file, spans)`.
-    type MergeTask = (
-        usize,
-        TupleFile<SlabTuple>,
-        TupleFile<SlabTuple>,
-        Option<TupleFile<SpanEvent>>,
-    );
-
-    // On any failure, delete every file this reduction still owns so a
-    // long-lived context does not accumulate orphans.
-    let cleanup = |files: &mut Vec<Option<TupleFile<SlabTuple>>>,
-                   node_spans: &mut Vec<Option<TupleFile<SpanEvent>>>| {
-        for f in files.iter_mut().filter_map(Option::take) {
-            let _ = ctx.delete_file(f);
-        }
-        for f in node_spans.iter_mut().filter_map(Option::take) {
-            let _ = ctx.delete_file(f);
-        }
-    };
-
-    for merges in levels {
-        let tasks: Vec<MergeTask> = merges
-            .into_iter()
-            .map(|id| {
-                let (l, r) = arena[id].children.expect("merge nodes have children");
-                (
-                    id,
-                    files[l].take().expect("left child file ready"),
-                    files[r].take().expect("right child file ready"),
-                    node_spans[id].take(),
-                )
-            })
-            .collect();
-        let outcomes = parallel_map(workers, tasks, |_, (id, left, right, spans)| {
-            let (l, r) = arena[id].children.expect("merge nodes have children");
-            let span_file = match spans {
-                Some(f) => f,
-                None => ctx.write_all(&[])?,
-            };
-            let result = merge_sweep(
-                ctx,
-                &[left.clone(), right.clone()],
-                &[interval_of(&arena, l), interval_of(&arena, r)],
-                &span_file,
-            );
-            match result {
-                Ok(merged) => {
-                    ctx.delete_file(left)?;
-                    ctx.delete_file(right)?;
-                    ctx.delete_file(span_file)?;
-                    Ok::<_, CoreError>((id, merged))
-                }
-                Err(e) => {
-                    // Best-effort cleanup of this task's inputs; the caller
-                    // sweeps up everything still owned by the reduction.
-                    let _ = ctx.delete_file(left);
-                    let _ = ctx.delete_file(right);
-                    let _ = ctx.delete_file(span_file);
-                    Err(e)
-                }
-            }
-        });
-        let mut first_err = None;
-        for outcome in outcomes {
-            match outcome {
-                Ok((id, merged)) => files[id] = Some(merged),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            cleanup(&mut files, &mut node_spans);
-            return Err(e);
+            lo /= 2;
+            hi /= 2;
         }
     }
 
-    Ok(files[root].take().expect("root merge produced"))
+    /// The leftmost leaf holding the maximum, and that maximum.
+    fn leftmost_max(&self) -> (usize, f64) {
+        let (value, leaf) = self.nodes[1];
+        (leaf, value)
+    }
 }
 
 #[cfg(test)]
@@ -502,85 +354,6 @@ mod tests {
         assert_eq!(at_bottom.x_hi, 10.0, "leftmost tying interval is reported");
     }
 
-    /// The pairwise tree reduction must produce exactly the flat sweep's
-    /// tuple stream, including multi-slab spanning events that decompose into
-    /// several canonical tree nodes.
-    #[test]
-    fn tree_reduction_matches_flat_merge_tuple_for_tuple() {
-        let ctx = ctx();
-        // Five slabs (odd count: exercises the carried node) over [0, 50).
-        let boundaries = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0];
-        let slabs: Vec<Interval> = boundaries
-            .windows(2)
-            .map(|w| Interval::new(w[0], w[1]))
-            .collect();
-        // Per-slab rectangles with integer weights and overlapping y-ranges.
-        let per_slab: Vec<Vec<RectRecord>> = (0..5)
-            .map(|i| {
-                let lo = boundaries[i];
-                vec![
-                    rect(lo + 1.0, lo + 6.0, i as f64, i as f64 + 7.0, 1.0 + i as f64),
-                    rect(lo + 3.0, lo + 9.0, 2.0, 5.0, 2.0),
-                    rect(lo + 2.0, lo + 4.0, 4.0, 11.0, 1.0),
-                ]
-            })
-            .collect();
-        // Spanning events over several slab ranges, including nested ones.
-        let mut spans: Vec<SpanEvent> = Vec::new();
-        spans.extend(SpanEvent::pair(0.5, 6.5, 3.0, 1, 3));
-        spans.extend(SpanEvent::pair(2.5, 9.0, 2.0, 2, 2));
-        spans.extend(SpanEvent::pair(1.0, 12.0, 4.0, 1, 2));
-        spans.extend(SpanEvent::pair(3.0, 4.5, 5.0, 3, 3));
-        spans.sort_unstable_by(|a, b| a.y.total_cmp(&b.y));
-
-        let make_files = || -> Vec<TupleFile<SlabTuple>> {
-            per_slab
-                .iter()
-                .zip(&slabs)
-                .map(|(rects, slab)| ctx.write_all(&plane_sweep_slab(rects, *slab)).unwrap())
-                .collect()
-        };
-        let span_file = ctx.write_all(&spans).unwrap();
-
-        let flat_files = make_files();
-        let flat = merge_sweep(&ctx, &flat_files, &slabs, &span_file).unwrap();
-        let flat_tuples = ctx.read_all(&flat).unwrap();
-
-        for workers in [1, 2, 4] {
-            let tree = merge_sweep_tree(&ctx, make_files(), &slabs, &span_file, workers).unwrap();
-            let tree_tuples = ctx.read_all(&tree).unwrap();
-            assert_eq!(tree_tuples, flat_tuples, "workers = {workers}");
-            ctx.delete_file(tree).unwrap();
-        }
-    }
-
-    /// The tree reduction cleans up after itself: child files and temporary
-    /// span files are gone once the merge finishes.
-    #[test]
-    fn tree_reduction_deletes_intermediates() {
-        let ctx = ctx();
-        let slabs = [Interval::new(0.0, 10.0), Interval::new(10.0, 20.0)];
-        let files = vec![
-            ctx.write_all(&plane_sweep_slab(
-                &[rect(1.0, 4.0, 0.0, 2.0, 1.0)],
-                slabs[0],
-            ))
-            .unwrap(),
-            ctx.write_all(&plane_sweep_slab(
-                &[rect(12.0, 15.0, 1.0, 3.0, 1.0)],
-                slabs[1],
-            ))
-            .unwrap(),
-        ];
-        let spans = ctx.write_all::<SpanEvent>(&[]).unwrap();
-        let files_before = ctx.num_files();
-        let merged = merge_sweep_tree(&ctx, files, &slabs, &spans, 2).unwrap();
-        // Only the output replaced the two inputs; no stray temporaries.
-        assert_eq!(ctx.num_files(), files_before - 1);
-        ctx.delete_file(merged).unwrap();
-        ctx.delete_file(spans).unwrap();
-    }
-
     #[test]
     fn empty_inputs_produce_empty_output() {
         let ctx = ctx();
@@ -606,5 +379,179 @@ mod tests {
         let spans = ctx.write_all::<SpanEvent>(&[]).unwrap();
         let err = merge_sweep(&ctx, &files, &[], &spans).unwrap_err();
         assert!(matches!(err, CoreError::Internal(_)));
+    }
+
+    /// The plain MergeSweep: two `O(m)` scans per event, one for the next
+    /// event y and one for the best sub-slab.  The reference the heap and
+    /// argmax-tree merge must reproduce tuple for tuple.
+    fn merge_sweep_linear(
+        ctx: &EmContext,
+        slab_files: &[TupleFile<SlabTuple>],
+        slabs: &[Interval],
+        span_events: &TupleFile<SpanEvent>,
+    ) -> Vec<SlabTuple> {
+        let mut readers: Vec<_> = slab_files.iter().map(|f| ctx.open_reader(f)).collect();
+        let mut span_reader = ctx.open_reader(span_events);
+        let m = readers.len();
+        let mut out = Vec::new();
+        let mut up_sum = vec![0.0f64; m];
+        let mut tslab: Vec<SlabTuple> = slabs
+            .iter()
+            .map(|s| SlabTuple::new(f64::NEG_INFINITY, s.lo, s.hi, 0.0))
+            .collect();
+        loop {
+            let mut next_y: Option<f64> = None;
+            for reader in readers.iter_mut() {
+                if let Some(t) = reader.peek().unwrap() {
+                    next_y = Some(next_y.map_or(t.y, |y: f64| y.min(t.y)));
+                }
+            }
+            if let Some(e) = span_reader.peek().unwrap() {
+                next_y = Some(next_y.map_or(e.y, |y: f64| y.min(e.y)));
+            }
+            let Some(y) = next_y else { break };
+            while let Some(e) = span_reader.peek().unwrap() {
+                if e.y > y {
+                    break;
+                }
+                let e = span_reader.next_record().unwrap().unwrap();
+                let hi = (e.slab_hi as usize).min(m.saturating_sub(1));
+                if (e.slab_lo as usize) <= hi {
+                    for sum in &mut up_sum[e.slab_lo as usize..=hi] {
+                        *sum += e.delta();
+                    }
+                }
+            }
+            for (i, reader) in readers.iter_mut().enumerate() {
+                while let Some(t) = reader.peek().unwrap() {
+                    if t.y > y {
+                        break;
+                    }
+                    tslab[i] = reader.next_record().unwrap().unwrap();
+                }
+            }
+            let mut best_idx = 0usize;
+            let mut best = f64::NEG_INFINITY;
+            for i in 0..m {
+                let total = tslab[i].sum + up_sum[i];
+                if total > best {
+                    best = total;
+                    best_idx = i;
+                }
+            }
+            let winner = &tslab[best_idx];
+            out.push(SlabTuple::new(y, winner.x_lo, winner.x_hi, best));
+        }
+        out
+    }
+
+    /// Tuple-for-tuple equality: intervals and sums bit for bit, `y` by
+    /// value (an event at `±0.0` may carry either zero, as in the scan's
+    /// `f64::min`).
+    fn assert_same_tuples(got: &[SlabTuple], want: &[SlabTuple], case: &str) {
+        assert_eq!(got.len(), want.len(), "{case}: tuple count");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.y == w.y
+                    && g.x_lo.to_bits() == w.x_lo.to_bits()
+                    && g.x_hi.to_bits() == w.x_hi.to_bits()
+                    && g.sum.to_bits() == w.sum.to_bits(),
+                "{case}: tuple {k} is {g:?}, the linear scan gives {w:?}"
+            );
+        }
+    }
+
+    /// A random merge input over `m` unit-width slabs: per-slab y-sorted
+    /// tuple streams (some empty) and spanning pairs over nested multi-slab
+    /// ranges.  Every y comes from a small grid that includes both `-0.0`
+    /// and `0.0`, so heads of different children often tie; sums mix
+    /// integers, non-integers, negatives and both zeros, so argmax ties and
+    /// inexact additions both occur.
+    fn random_merge_input(
+        m: usize,
+        rng: &mut proptest::TestRng,
+    ) -> (Vec<Interval>, Vec<Vec<SlabTuple>>, Vec<SpanEvent>) {
+        const YS: [f64; 9] = [-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 2.5, 7.0];
+        const SUMS: [f64; 8] = [0.0, -0.0, 1.0, 2.0, 0.1, 0.7, -0.3, 3.3];
+        let slabs: Vec<Interval> = (0..m)
+            .map(|i| Interval::new(i as f64, i as f64 + 1.0))
+            .collect();
+        let children = slabs
+            .iter()
+            .map(|slab| {
+                if rng.below(4) == 0 {
+                    return Vec::new();
+                }
+                let mut ys: Vec<f64> = (0..rng.below(12))
+                    .map(|_| YS[rng.below(YS.len())])
+                    .collect();
+                ys.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                ys.into_iter()
+                    .map(|y| {
+                        let a = slab.lo + rng.next_f64() * 0.5;
+                        let b = a + rng.next_f64() * 0.5;
+                        SlabTuple::new(y, a, b, SUMS[rng.below(SUMS.len())])
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut spans = Vec::new();
+        for _ in 0..rng.below(3 * m + 1) {
+            let lo = rng.below(m);
+            let hi = lo + rng.below(m - lo);
+            let (a, b) = (YS[rng.below(YS.len())], YS[rng.below(YS.len())]);
+            let weight = SUMS[rng.below(SUMS.len())] + 0.5;
+            spans.extend(SpanEvent::pair(
+                a.min(b),
+                a.max(b),
+                weight,
+                lo as u32,
+                hi as u32,
+            ));
+        }
+        spans.sort_by(|a, b| a.y.partial_cmp(&b.y).unwrap());
+        (slabs, children, spans)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(120))]
+
+        /// The heap / argmax-tree merge reproduces the linear scan tuple for
+        /// tuple at every fan-out from 1 to 80.
+        #[test]
+        fn heap_merge_matches_the_linear_scan(m in 1usize..81, seed in proptest::any::<u64>()) {
+            let ctx = ctx();
+            let mut rng = proptest::TestRng::from_name(&seed.to_string());
+            let (slabs, children, spans) = random_merge_input(m, &mut rng);
+            let files: Vec<_> = children.iter().map(|c| ctx.write_all(c).unwrap()).collect();
+            let span_file = ctx.write_all(&spans).unwrap();
+            let want = merge_sweep_linear(&ctx, &files, &slabs, &span_file);
+            let merged = merge_sweep(&ctx, &files, &slabs, &span_file).unwrap();
+            let got = ctx.read_all(&merged).unwrap();
+            assert_same_tuples(&got, &want, &format!("m = {m}, seed = {seed}"));
+        }
+    }
+
+    /// Equal heads at `-0.0` and `0.0` in different children, with a
+    /// spanning event at the other zero, are consumed as one event.
+    #[test]
+    fn signed_zero_heads_form_one_event() {
+        let ctx = ctx();
+        let slabs = [Interval::new(0.0, 1.0), Interval::new(1.0, 2.0)];
+        let files = [
+            ctx.write_all(&[SlabTuple::new(-0.0, 0.1, 0.2, 1.0)])
+                .unwrap(),
+            ctx.write_all(&[SlabTuple::new(0.0, 1.1, 1.2, 1.5)])
+                .unwrap(),
+        ];
+        let spans = ctx
+            .write_all(&SpanEvent::pair(-0.0, 3.0, 1.0, 0, 0))
+            .unwrap();
+        let merged = merge_sweep(&ctx, &files, &slabs, &spans).unwrap();
+        let got = ctx.read_all(&merged).unwrap();
+        let want = merge_sweep_linear(&ctx, &files, &slabs, &spans);
+        assert_same_tuples(&got, &want, "signed zeros");
+        assert_eq!(got.len(), 2);
+        assert_eq!((got[0].x_lo, got[0].sum), (0.1, 2.0));
     }
 }

@@ -321,12 +321,9 @@ impl PreparedDataset<'_> {
     /// on the worker pool.
     ///
     /// Runs come back in query order with answers bit-identical to per-query
-    /// [`run`](PreparedDataset::run) calls for integer-valued weights (with
-    /// arbitrary floats, concurrent group execution carries the same
-    /// last-bit association caveat as strategy selection — see
-    /// [`crate::batch`]); each group's shared pass I/O is attributed to the
-    /// group's first query, so the runs' I/O sums to the batch's true total
-    /// (see [`crate::batch`], "I/O attribution").
+    /// [`run`](PreparedDataset::run) calls; each group's shared pass I/O is
+    /// attributed to the group's first query, so the runs' I/O sums to the
+    /// batch's true total (see [`crate::batch`], "I/O attribution").
     ///
     /// ```
     /// use maxrs_core::{MaxRsEngine, Query};

@@ -12,7 +12,7 @@
 //!
 //! All variants share one execution substrate: each reduces to (rounds of)
 //! the rectangle distribution sweep, so scaling work done for MaxRS — the EM
-//! pipeline, the parallel slab stage, the MergeSweep tree — carries over to
+//! pipeline, the parallel slab stage, the one-pass MergeSweep — carries over to
 //! every variant for free.  A [`QueryRun`] reports the answer together with
 //! the strategy that produced it and the I/O it cost.
 

@@ -26,18 +26,18 @@
 //! 2. each shard solves its cropped rectangle file locally (the ordinary
 //!    recursion of [`crate::sweep`], running on the shard's own device);
 //! 3. the per-shard slab-files and the y-sorted spanning events merge
-//!    through the canonical MergeSweep ([`mod@crate::merge_sweep`]) — the same
-//!    span-event decomposition `merge_sweep_tree` uses, reading each
-//!    shard's slab-file straight off its own device;
+//!    through the canonical MergeSweep ([`mod@crate::merge_sweep`]) — the
+//!    same one-pass merge every recursion node uses, reading each shard's
+//!    slab-file straight off its own device;
 //! 4. the winning tuple is widened to its full arrangement cell
 //!    (canonical max-regions, see [`crate::sweep`]) by taking the minimum
 //!    next-breakpoint over the shards.
 //!
 //! Because canonical max-regions are partition-independent, the answers are
 //! **bit-identical** to an unsharded [`PreparedDataset::run`] for every
-//! [`Query`] variant — with the same caveat as the parallel slab stage: for
-//! arbitrary float weights the regrouped additions carry the usual
-//! association caveat, for integer-valued weights equality is exact.
+//! [`Query`] variant — with one caveat: the shard boundaries regroup the
+//! slabs, so for arbitrary float weights the regrouped additions can differ
+//! in the last bits; for integer-valued weights equality is exact.
 //!
 //! ```
 //! use maxrs_core::{MaxRsEngine, Query, ShardLayout};
@@ -760,7 +760,7 @@ impl ShardedDataset {
                 result.region.x_lo,
             )?);
         }
-        let x = Interval::new(result.region.x_lo, hi.max(result.region.x_hi));
+        let x = Interval::new(result.region.x_lo, hi);
         Ok(MaxRsResult {
             center: Point::new(x.representative(), result.center.y),
             total_weight: result.total_weight,
@@ -1059,7 +1059,7 @@ impl ShardedDataset {
                     for &(ctx, file) in files {
                         hi = hi.min(next_breakpoint_after(ctx, file, size, slab, x.lo)?);
                     }
-                    Interval::new(x.lo, hi.max(x.hi))
+                    Interval::new(x.lo, hi)
                 } else {
                     x
                 };

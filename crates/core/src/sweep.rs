@@ -44,7 +44,7 @@ use maxrs_geometry::{Interval, Point, Rect, RectSize};
 
 use crate::error::{CoreError, Result};
 use crate::exact::ExactMaxRsOptions;
-use crate::merge_sweep::{merge_sweep, merge_sweep_tree};
+use crate::merge_sweep::merge_sweep;
 use crate::parallel::parallel_map;
 use crate::plane_sweep::with_sweep_scratch;
 use crate::records::{ObjectRecord, RectRecord, SlabTuple};
@@ -179,8 +179,10 @@ impl<'a> SweepPass<'a> {
     /// recursion, returning the final slab-file of the pass's root slab (the
     /// y-sorted `⟨y, max-interval, sum⟩` tuples).  The input file is
     /// consumed; rectangle weights may be negative (only `WeightedPoint`
-    /// insists on non-negativity).  `opts.parallelism` selects between the
-    /// paper's flat sequential sweep and the parallel slab stage.
+    /// insists on non-negativity).  `opts.parallelism` bounds how many
+    /// sub-slabs of the top recursion node are solved concurrently; every
+    /// node combines its children with one flat MergeSweep, so the output is
+    /// the same for every worker count.
     pub fn sweep_rects(&self, rects: TupleFile<RectRecord>) -> Result<TupleFile<SlabTuple>> {
         let sorted = match self.order {
             InputOrder::Unsorted => {
@@ -231,7 +233,7 @@ impl<'a> SweepPass<'a> {
             return Ok(result);
         }
         let x_hi = next_breakpoint_after(self.ctx, objects, size, self.root, result.region.x_lo)?;
-        let x = Interval::new(result.region.x_lo, x_hi.max(result.region.x_hi));
+        let x = Interval::new(result.region.x_lo, x_hi);
         Ok(MaxRsResult {
             center: Point::new(x.representative(), result.center.y),
             total_weight: result.total_weight,
@@ -338,6 +340,13 @@ pub fn solve_rects(
     runner.solve(rects, slab, sorted)
 }
 
+/// How full, as a divisor of the in-memory budget `M`, a default fan-out
+/// aims to make each child: children of about `M/2` rectangles leave room
+/// for the uneven split of sampled boundaries and for the cropped pieces of
+/// rectangles crossing a boundary, so they are solved in memory without
+/// recursing again.
+const CHILD_FILL_DIVISOR: usize = 2;
+
 struct Runner<'a> {
     ctx: &'a EmContext,
     opts: ExactMaxRsOptions,
@@ -355,11 +364,18 @@ impl<'a> Runner<'a> {
             .max(4)
     }
 
-    fn fanout(&self) -> usize {
-        self.opts
-            .fanout
-            .unwrap_or_else(|| self.ctx.config().fanout())
-            .max(2)
+    /// The fan-out of a node holding `n` rectangles: the explicit override
+    /// if one is set, otherwise just enough sub-slabs for each to hold about
+    /// `M / CHILD_FILL_DIVISOR` rectangles — `⌈2n/M⌉`, at least 2 and at
+    /// most the paper's `m = Θ(M/B)`.  Inputs above `m·M/2` get `m`, as in
+    /// the paper; smaller ones get fewer child files to merge.
+    fn fanout(&self, n: usize) -> usize {
+        match self.opts.fanout {
+            Some(f) => f.max(2),
+            None => (CHILD_FILL_DIVISOR * n)
+                .div_ceil(self.memory_rects())
+                .clamp(2, self.ctx.config().fanout().max(2)),
+        }
     }
 
     /// Solves one recursion node: consumes `input` (the rectangles of `slab`)
@@ -381,7 +397,7 @@ impl<'a> Runner<'a> {
         } else {
             BoundarySource::Sampled(self.opts.boundary_sample)
         };
-        let partition = compute_partition(self.ctx, &input, slab, self.fanout(), source)?;
+        let partition = compute_partition(self.ctx, &input, slab, self.fanout(n), source)?;
         if partition.num_slabs() < 2 {
             // Heavy ties on x: no vertical split can make progress.  Fall back
             // to the in-memory sweep (documented guard; never triggered by the
@@ -416,9 +432,9 @@ impl<'a> Runner<'a> {
     }
 
     /// Solves every sub-slab (in parallel when `workers > 1`) and combines the
-    /// child slab-files with the span events.  On failure, all successfully
-    /// produced child files are deleted before the error is returned; the
-    /// span-events file stays with the caller.
+    /// child slab-files with the span events in one MergeSweep.  On failure,
+    /// all successfully produced child files are deleted before the error is
+    /// returned; the span-events file stays with the caller.
     fn conquer_and_combine(
         &self,
         slab_inputs: Vec<TupleFile<RectRecord>>,
@@ -463,33 +479,16 @@ impl<'a> Runner<'a> {
             return Err(e);
         }
 
-        if workers > 1 {
-            // Pairwise tree reduction (consumes the child files, cleaning up
-            // on its own errors); identical to the flat sweep, see
-            // `merge_sweep_tree`.
-            merge_sweep_tree(
-                self.ctx,
-                child_files,
-                &partition.slabs(),
-                span_events,
-                self.workers,
-            )
-        } else {
-            match merge_sweep(self.ctx, &child_files, &partition.slabs(), span_events) {
-                Ok(merged) => {
-                    for f in child_files {
-                        self.ctx.delete_file(f)?;
-                    }
-                    Ok(merged)
-                }
-                Err(e) => {
-                    for f in child_files {
-                        let _ = self.ctx.delete_file(f);
-                    }
-                    Err(e)
-                }
+        // One flat MergeSweep over all children, whichever way they were
+        // solved: the output is the same for every worker count.
+        let merged = merge_sweep(self.ctx, &child_files, &partition.slabs(), span_events);
+        for f in child_files {
+            let deleted = self.ctx.delete_file(f);
+            if merged.is_ok() {
+                deleted?;
             }
         }
+        merged
     }
 
     /// Recurses into a child slab, guarding against pathological inputs where

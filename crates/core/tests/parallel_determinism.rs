@@ -1,13 +1,16 @@
 //! Regression tests for the parallel slab stage: `parallelism = 1` (the
-//! paper's sequential distribution sweep) and `parallelism = N` (parallel
-//! children + pairwise tree reduction) must return the **identical**
-//! [`MaxRsResult`] — location, weight and max-region — on synthetic datasets.
-//!
-//! The datasets use integer-valued weights, for which the tree reduction is
-//! bit-for-bit equivalent to the flat sweep (floating-point sums of integers
-//! in this range are exact regardless of association).
+//! paper's sequential distribution sweep) and `parallelism = N` (children
+//! solved concurrently, then the same flat MergeSweep) must return the
+//! **identical** [`MaxRsResult`] — location, weight and max-region — on
+//! synthetic datasets, for integer and non-integer weights alike.  One more
+//! test pins the I/O of a one-level sweep to a single merge pass, for both
+//! worker counts.
 
-use maxrs_core::{exact_max_rs_from_objects, max_rs_in_memory, ExactMaxRsOptions, MaxRsResult};
+use maxrs_core::{
+    exact_max_rs_from_objects, load_objects, max_rs_in_memory, sort_objects_by_x,
+    ExactMaxRsOptions, MaxRsResult, RectRecord, SlabTuple, SweepPass,
+};
+use maxrs_datagen::{Dataset, DatasetKind};
 use maxrs_em::{EmConfig, EmContext};
 use maxrs_geometry::{RectSize, WeightedPoint};
 
@@ -152,4 +155,91 @@ fn parallel_path_cleans_up_temporaries() {
         "parallel run must delete every temporary file"
     );
     assert_eq!(ctx.disk_blocks(), 0);
+}
+
+/// The final slab-file of a presorted sweep, every field as raw bits.
+fn slab_file_bits(
+    ctx: &EmContext,
+    objects: &[WeightedPoint],
+    size: RectSize,
+    opts: &ExactMaxRsOptions,
+) -> Vec<[u64; 4]> {
+    let file = load_objects(ctx, objects).unwrap();
+    let sorted = sort_objects_by_x(ctx, &file).unwrap();
+    let pass = SweepPass::presorted(ctx, opts);
+    let slab_file = pass.slab_file(&sorted, size).unwrap();
+    let tuples: Vec<SlabTuple> = ctx.read_all(&slab_file).unwrap();
+    for f in [file, sorted] {
+        ctx.delete_file(f).unwrap();
+    }
+    ctx.delete_file(slab_file).unwrap();
+    tuples
+        .iter()
+        .map(|t| [t.y, t.x_lo, t.x_hi, t.sum].map(f64::to_bits))
+        .collect()
+}
+
+#[test]
+fn non_integer_weights_give_bit_identical_parallel_and_sequential_sweeps() {
+    // Weights whose sums are not exactly representable: any change in the
+    // order of the additions shows up in the last bits.
+    let objects: Vec<WeightedPoint> = pseudo_random_objects(900, 314, 1200.0)
+        .into_iter()
+        .enumerate()
+        .map(|(i, o)| WeightedPoint::at(o.point.x, o.point.y, 0.1 + 0.37 * (i % 7) as f64))
+        .collect();
+    let size = RectSize::square(150.0);
+    for fanout in [Some(3), Some(16), None] {
+        let base = ExactMaxRsOptions {
+            memory_rects: Some(40),
+            fanout,
+            ..Default::default()
+        };
+        let sequential = ExactMaxRsOptions {
+            parallelism: 1,
+            ..base
+        };
+        let want = slab_file_bits(&parallel_ctx(), &objects, size, &sequential);
+        let want_result = run(&objects, size, &sequential);
+        for workers in [2usize, 4] {
+            let parallel = ExactMaxRsOptions {
+                parallelism: workers,
+                ..base
+            };
+            assert_eq!(
+                slab_file_bits(&parallel_ctx(), &objects, size, &parallel),
+                want,
+                "fanout={fanout:?} workers={workers}: slab-file diverged"
+            );
+            assert_eq!(run(&objects, size, &parallel), want_result);
+        }
+    }
+}
+
+#[test]
+fn one_level_sweep_reads_and_writes_the_slab_stream_once() {
+    // 30k objects against a 256 KB buffer: one recursion level.  A single
+    // MergeSweep keeps the whole sweep (distribution, child sweeps, merge)
+    // within a small multiple of the rectangle file; a log-depth pairwise
+    // merge re-reads and rewrites the slab-tuple stream once per level and
+    // lands well above it.
+    let config = EmConfig::new(4096, 256 * 1024).unwrap();
+    let objects = Dataset::generate(DatasetKind::Uniform, 30_000, 1).objects;
+    let rect_blocks = config.blocks_for::<RectRecord>(objects.len() as u64);
+    for workers in [1usize, 2] {
+        let ctx = EmContext::new(config);
+        let opts = ExactMaxRsOptions::with_parallelism(workers);
+        let file = load_objects(&ctx, &objects).unwrap();
+        let sorted = sort_objects_by_x(&ctx, &file).unwrap();
+        let pass = SweepPass::presorted(&ctx, &opts);
+        let rects = pass.transform(&sorted, RectSize::square(1000.0)).unwrap();
+        let before = ctx.stats();
+        let slab_file = pass.sweep_rects(rects).unwrap();
+        let io = ctx.stats().total_delta(&before);
+        assert!(
+            io < 12 * rect_blocks,
+            "workers={workers}: sweep_rects moved {io} blocks for a {rect_blocks}-block rectangle file"
+        );
+        ctx.delete_file(slab_file).unwrap();
+    }
 }

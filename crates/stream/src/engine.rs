@@ -33,8 +33,8 @@
 //! objects — the property the `stream_incremental` proptest suite replays
 //! ≥10k-event sequences to enforce.  (As everywhere in this workspace, the
 //! bit-for-bit guarantee assumes weights whose partial sums are exactly
-//! representable — integers in particular; arbitrary floats carry the usual
-//! association caveat of the parallel MergeSweep.)
+//! representable — integers in particular; with arbitrary floats, sweeps
+//! over different slab layouts can group the additions differently.)
 
 use std::collections::HashMap;
 

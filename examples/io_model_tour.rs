@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let objects = load_objects(&ctx, &dataset.objects)?;
         ctx.reset_stats();
         // Pinned to the sequential sweep: this tour measures the paper's I/O
-        // curve, and the parallel tree reduction trades extra I/O for
-        // wall-clock time (see `MaxRsEngine` for the auto-selecting facade).
+        // curve, which the parallel slab stage leaves unchanged (see
+        // `MaxRsEngine` for the auto-selecting facade).
         let result = exact_max_rs(&ctx, &objects, size, &ExactMaxRsOptions::sequential())?;
         let stats = ctx.stats();
         let (hits, misses) = ctx.pool_hit_stats();
