@@ -287,8 +287,9 @@ fn shard_runs(opts: &FigureOptions) -> Vec<ShardRun> {
 /// so query latency and queries/sec vs server count is the curve and the
 /// TCP row isolates the wire cost.  The query set mixes whole-domain
 /// MaxRS/top-k with narrow- and wide-domain MinRS so the samples cover the
-/// shards-touched (and hence fan-out) spectrum.  Every sampled answer of
-/// every row is verified bit-identical to an unsharded prepare.
+/// shards-touched (and hence fan-out) spectrum; each row also answers the
+/// whole set as one `run_batch`.  Every sampled and batched answer of every
+/// row is verified bit-identical to an unsharded prepare.
 fn cluster_runs(opts: &FigureOptions) -> Vec<ClusterRun> {
     let n = opts.scale.cardinality(PAPER_CARDINALITY).max(5_000);
     let config = opts.scale.em_config(PAPER_BUFFER_SYNTHETIC);
@@ -376,7 +377,7 @@ fn print_cluster_rows(rows: &[ClusterRun]) {
             })
             .collect();
         println!(
-            "  backend={:<4} transport={:<10} n={} K={} servers={} qps={:.1} queries=[{}]",
+            "  backend={:<4} transport={:<10} n={} K={} servers={} qps={:.1} queries=[{}] batch={:.1?}/{}",
             row.backend,
             row.transport,
             row.n,
@@ -384,6 +385,8 @@ fn print_cluster_rows(rows: &[ClusterRun]) {
             row.servers,
             row.qps(),
             samples.join(", "),
+            std::time::Duration::from_nanos(row.batch_ns as u64),
+            row.batch_io,
         );
     }
 }

@@ -5,8 +5,11 @@
 //! — plus one row over real TCP loopback to show the wire adds transport
 //! cost but changes no answer.  Per sample the row records how many shards
 //! the router engaged (`shards_touched`) and how many servers the
-//! coordinator actually contacted (`fan_out`); every sampled answer is
-//! verified bit-identical to an unsharded
+//! coordinator actually contacted (`fan_out`).  The same queries then run
+//! once more as one mixed batch through
+//! [`ClusterCoordinator::run_batch`], which shares one distributed pass per
+//! sweep group.  Every answer, sampled or batched, is verified bit-identical
+//! to an unsharded
 //! [`PreparedDataset::run`](maxrs_core::PreparedDataset::run).  The
 //! measurements behind the `cluster` command of the experiment harness.
 
@@ -82,8 +85,13 @@ pub struct ClusterRun {
     pub wall_ns: u128,
     /// The query samples, one per measured variant.
     pub samples: Vec<ClusterQuerySample>,
-    /// `true` when every sampled answer was bit-identical to an unsharded
-    /// [`MaxRsEngine::prepare`] over the same input.
+    /// Wall-clock of answering the sampled queries as one batch, in
+    /// nanoseconds.
+    pub batch_ns: u128,
+    /// Logical blocks the batch transferred, summed over its runs.
+    pub batch_io: u64,
+    /// `true` when every sampled and every batched answer was bit-identical
+    /// to an unsharded [`MaxRsEngine::prepare`] over the same input.
     pub verified: bool,
 }
 
@@ -124,6 +132,8 @@ impl ClusterRun {
             ("wall_ns", Value::Number(self.wall_ns as f64)),
             ("qps", Value::Number(self.qps())),
             ("samples", Value::Array(samples)),
+            ("batch_ns", Value::Number(self.batch_ns as f64)),
+            ("batch_io", Value::Number(self.batch_io as f64)),
             ("verified", Value::Bool(self.verified)),
         ])
     }
@@ -142,8 +152,8 @@ fn engine_options(config: EmConfig) -> EngineOptions {
 
 /// Splits `objects` into `shards` x-ranges, hosts them round-robin on
 /// `servers` [`ShardServer`]s reached over `transport`, answers every query
-/// in `queries` and verifies each answer against `expected` (the unsharded
-/// answers in the same order).
+/// in `queries` one by one and then as one batch, and verifies each answer
+/// against `expected` (the unsharded answers in the same order).
 pub fn run_cluster(
     config: EmConfig,
     objects: &[WeightedPoint],
@@ -206,6 +216,12 @@ pub fn run_cluster(
     }
     let wall_ns = loop_start.elapsed().as_nanos();
 
+    let batch_start = Instant::now();
+    let batch = cluster.run_batch(queries)?;
+    let batch_ns = batch_start.elapsed().as_nanos();
+    verified &= batch.iter().map(|r| &r.answer).eq(expected);
+    let batch_io = batch.iter().map(|r| r.io.total()).sum();
+
     let row = ClusterRun {
         backend: cluster.backend_name().to_string(),
         transport: transport.name().to_string(),
@@ -215,6 +231,8 @@ pub fn run_cluster(
         shard_lens: cluster.shard_lens(),
         wall_ns,
         samples,
+        batch_ns,
+        batch_io,
         verified,
     };
     drop(cluster);
@@ -297,6 +315,14 @@ mod tests {
             assert_eq!(row.samples.len(), queries.len());
             assert_eq!(row.shard_lens.iter().sum::<u64>(), 1_500);
             assert!(row.qps() > 0.0);
+            // max-rs and top-k share one pass in the batch.
+            let sampled_io: u64 = row.samples.iter().map(|s| s.query_io).sum();
+            assert!(
+                row.batch_io < sampled_io,
+                "{} x{}",
+                row.transport,
+                row.servers
+            );
             for s in &row.samples {
                 assert!(s.shards_touched >= 1 && s.shards_touched <= row.shards);
                 assert!(s.fan_out >= 1 && s.fan_out <= row.servers);

@@ -2,15 +2,18 @@
 //! canonical merging, and failure handling.
 //!
 //! [`ClusterCoordinator`] is the multi-node twin of the single-machine
-//! [`ShardedDataset`](maxrs_core::ShardedDataset): the same engaged-shard
-//! routing, the same boundary-spanning crop + span-event decomposition, the
-//! same canonical [`merge_sweep`] and min-next-breakpoint widening — with
-//! the per-shard work pushed to [`ShardServer`](crate::ShardServer)s behind
-//! a pluggable [`Transport`].  Every accumulation that touches floats
-//! happens in **global shard order**, so all four [`Query`] variants are
-//! bit-identical to the unsharded [`PreparedDataset::run`]
-//! (maxrs_core::PreparedDataset::run) — proven by the determinism suite on
-//! both transports and both storage backends.
+//! [`ShardedDataset`](maxrs_core::ShardedDataset): the same
+//! [`ShardMap`] routing, the same boundary-spanning crop + span-event
+//! decomposition, the same canonical [`merge_sweep`] — with the per-shard
+//! work pushed to [`ShardServer`](crate::ShardServer)s behind a pluggable
+//! [`Transport`].  The coordinator implements only the pass
+//! ([`SweepSource`]); every query variant runs in the one batch executor
+//! ([`QueryBatch::execute`]), so a batch shares one distributed pass per
+//! sweep group exactly like a local batch.  Every accumulation that touches
+//! floats happens in **global shard order**, so all four [`Query`]
+//! variants are bit-identical to the unsharded
+//! [`PreparedDataset::run`](maxrs_core::PreparedDataset::run) — proven by
+//! the determinism suite on both transports and both storage backends.
 //!
 //! ## Robustness
 //!
@@ -28,15 +31,12 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use maxrs_core::shard::shard_slab;
-use maxrs_core::sweep::extract_best;
 use maxrs_core::{
-    best_candidate, candidate_points, merge_sweep, min_rs_in_memory, min_strip_scan, parallel_map,
-    EngineOptions, ExecutionStrategy, MaxCrsResult, MaxRsResult, ObjectRecord, Query, QueryAnswer,
-    QueryBatch, QueryRun, SlabPartition, SlabTuple, SpanEvent,
+    merge_sweep, parallel_map, EngineOptions, ObjectRecord, Query, QueryBatch, QueryRun, ShardMap,
+    SlabTuple, SpanEvent, Suppression, SweepSource,
 };
 use maxrs_em::{external_sort_by_key, EmContext, IoSnapshot, TupleFile};
-use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
+use maxrs_geometry::{Interval, Point, RectSize, WeightedPoint};
 
 use crate::error::{ClusterError, Result};
 use crate::protocol::{PassSpec, PieceSet, Request, Response};
@@ -96,7 +96,6 @@ struct Member {
 
 struct ShardRef {
     server: usize,
-    slab: Interval,
     len: u64,
     prepare_io: IoSnapshot,
 }
@@ -106,7 +105,7 @@ pub struct ClusterCoordinator {
     opts: EngineOptions,
     config: ClusterConfig,
     members: Vec<Member>,
-    boundaries: Vec<f64>,
+    map: ShardMap,
     shards: Vec<ShardRef>,
     merge_ctx: EmContext,
     backend: String,
@@ -150,7 +149,7 @@ impl ClusterCoordinator {
                     health: Mutex::new(HealthState::default()),
                 })
                 .collect(),
-            boundaries: Vec::new(),
+            map: ShardMap::new(Vec::new()),
             shards: Vec::new(),
             merge_ctx,
             backend: String::new(),
@@ -175,9 +174,9 @@ impl ClusterCoordinator {
                 });
             };
             if i == 0 {
-                shard_map = (0..boundaries.len() + 1).map(|_| None).collect();
-                coordinator.boundaries = boundaries;
-            } else if boundaries != coordinator.boundaries {
+                coordinator.map = ShardMap::new(boundaries);
+                shard_map = (0..coordinator.map.num_shards()).map(|_| None).collect();
+            } else if boundaries != coordinator.map.boundaries() {
                 return Err(ClusterError::Topology {
                     detail: format!(
                         "server '{}' disagrees on the shard boundaries",
@@ -207,7 +206,6 @@ impl ClusterCoordinator {
                 }
                 shard_map[id] = Some(ShardRef {
                     server: i,
-                    slab: shard_slab(&coordinator.boundaries, id),
                     len: info.len,
                     prepare_io: info.prepare_io,
                 });
@@ -259,7 +257,7 @@ impl ClusterCoordinator {
 
     /// Global interior shard boundaries (`K - 1` values).
     pub fn boundaries(&self) -> &[f64] {
-        &self.boundaries
+        self.map.boundaries()
     }
 
     /// Objects per global shard.
@@ -283,15 +281,12 @@ impl ClusterCoordinator {
     /// single-machine
     /// [`ShardedDataset::shards_touched`](maxrs_core::ShardedDataset::shards_touched).
     pub fn shards_touched(&self, query: &Query) -> usize {
-        let (size, root) = query_root(query);
-        self.engaged_sources(size, root).len()
+        self.map.touched(query).len()
     }
 
     /// How many servers the sweep passes of `query` fan out to.
     pub fn fan_out(&self, query: &Query) -> usize {
-        let (size, root) = query_root(query);
-        self.engaged_servers(&self.engaged_sources(size, root))
-            .len()
+        self.engaged_servers(&self.map.touched(query)).len()
     }
 
     /// Current health of every server, by transport name.
@@ -332,94 +327,30 @@ impl ClusterCoordinator {
     /// Answers one query, bit-identical to the unsharded
     /// [`PreparedDataset::run`](maxrs_core::PreparedDataset::run).
     pub fn run(&self, query: &Query) -> Result<QueryRun> {
-        query.validate()?;
-        let before = self.merge_ctx.stats();
-        let agg = Mutex::new(IoSnapshot::default());
-        let answer = self.answer(query, &agg)?;
-        let remote = *agg.lock().expect("io lock");
-        let io = remote + self.merge_ctx.stats().delta(&before);
-        let workers = self.members.len();
-        let strategy = if workers > 1 {
-            ExecutionStrategy::ExternalParallel
-        } else {
-            ExecutionStrategy::ExternalSequential
-        };
-        Ok(QueryRun {
-            answer,
-            strategy,
-            workers,
-            io,
+        let mut runs = self.run_batch(std::slice::from_ref(query))?;
+        Ok(runs.pop().expect("one query in, one run out"))
+    }
+
+    /// Validates and plans `queries` into sweep groups, then answers them —
+    /// the cluster counterpart of
+    /// [`PreparedDataset::run_batch`](maxrs_core::PreparedDataset::run_batch),
+    /// sharing one distributed pass per group.
+    pub fn run_batch(&self, queries: &[Query]) -> Result<Vec<QueryRun>> {
+        self.run_planned(&QueryBatch::new(queries)?)
+    }
+
+    /// Executes an already planned batch through the batch executor
+    /// ([`QueryBatch::execute`]), groups one after another.  Each run's I/O
+    /// sums the blocks its phases moved on the servers and on the
+    /// coordinator's merge device.
+    pub fn run_planned(&self, batch: &QueryBatch) -> Result<Vec<QueryRun>> {
+        batch.execute(&ClusterPass {
+            cluster: self,
+            remote: Mutex::new(IoSnapshot::default()),
         })
     }
 
-    /// Validates and answers a batch of queries, one after another.
-    ///
-    /// Unlike the single-machine batch executor the cluster does not share
-    /// sweep passes between queries of the same rectangle size yet — each
-    /// query runs its own fan-out (answers are identical either way; only
-    /// the I/O sharing differs).
-    pub fn run_batch(&self, queries: &[Query]) -> Result<Vec<QueryRun>> {
-        QueryBatch::new(queries)?;
-        queries.iter().map(|q| self.run(q)).collect()
-    }
-
-    /// Answers an already planned batch query-by-query (see
-    /// [`run_batch`](ClusterCoordinator::run_batch) for the sharing caveat).
-    pub fn run_planned(&self, batch: &QueryBatch) -> Result<Vec<QueryRun>> {
-        batch.queries().iter().map(|q| self.run(q)).collect()
-    }
-
-    fn answer(&self, query: &Query, agg: &Mutex<IoSnapshot>) -> Result<QueryAnswer> {
-        match *query {
-            Query::MaxRs { size } => Ok(QueryAnswer::MaxRs(self.cluster_max_rs(size, &[], agg)?)),
-            Query::TopK { size, k } => Ok(QueryAnswer::TopK(self.top_k(size, k, agg)?)),
-            Query::ApproxMaxCrs { diameter, .. } => {
-                let sigma = query.sigma_fraction().expect("approx variant has a sigma");
-                Ok(QueryAnswer::MaxCrs(
-                    self.approx_max_crs(diameter, sigma, agg)?,
-                ))
-            }
-            Query::MinRs { size, domain } => {
-                Ok(QueryAnswer::MinRs(self.min_rs(size, domain, agg)?))
-            }
-        }
-    }
-
     // ---- routing ------------------------------------------------------------
-
-    /// Engaged source shards: same strictly-out-of-reach rule as the
-    /// single-machine dataset.
-    fn engaged_sources(&self, size: RectSize, root: Interval) -> Vec<usize> {
-        let half = size.width / 2.0;
-        (0..self.shards.len())
-            .filter(|&i| {
-                let s = self.shards[i].slab;
-                !(s.hi + half < root.lo || s.lo - half > root.hi)
-            })
-            .collect()
-    }
-
-    fn clipped_partition(&self, root: Interval) -> SlabPartition {
-        let mut bounds = Vec::with_capacity(self.boundaries.len() + 2);
-        bounds.push(root.lo);
-        for &b in &self.boundaries {
-            if b > root.lo && b < root.hi {
-                bounds.push(b);
-            }
-        }
-        bounds.push(root.hi);
-        SlabPartition::new(bounds)
-    }
-
-    fn slab_owners(&self, partition: &SlabPartition) -> Vec<usize> {
-        (0..partition.num_slabs())
-            .map(|t| {
-                self.boundaries
-                    .partition_point(|&b| b <= partition.boundaries[t])
-                    .min(self.shards.len() - 1)
-            })
-            .collect()
-    }
 
     /// Server indices hosting any of the given shards, ascending, deduped.
     fn engaged_servers(&self, shards: &[usize]) -> Vec<usize> {
@@ -427,10 +358,6 @@ impl ClusterCoordinator {
         servers.sort_unstable();
         servers.dedup();
         servers
-    }
-
-    fn all_servers(&self) -> Vec<usize> {
-        (0..self.members.len()).collect()
     }
 
     // ---- rpc plumbing -------------------------------------------------------
@@ -532,27 +459,43 @@ impl ClusterCoordinator {
     ) -> Result<Vec<Response>> {
         self.fan_out_requests(servers.iter().map(|&s| (s, request.clone())).collect(), agg)
     }
+}
 
-    // ---- the distributed sweep ----------------------------------------------
+/// One batch's view of the cluster: the coordinator plus the remote I/O
+/// its requests reported, which together with the merge device's counters
+/// is the meter the batch executor attributes per query.
+struct ClusterPass<'a> {
+    cluster: &'a ClusterCoordinator,
+    remote: Mutex<IoSnapshot>,
+}
 
-    /// One `(size, weight_scale, root)` pass over the cluster: the
-    /// two-round distribute/solve protocol (see [`crate::protocol`]) plus
-    /// the canonical [`merge_sweep`] on the coordinator's merge device.
-    /// Returns the merged root slab-file, exactly the file the
-    /// single-machine `sharded_slab_file` produces.
-    fn cluster_slab_file(
+impl SweepSource for ClusterPass<'_> {
+    type Error = ClusterError;
+
+    fn merge_ctx(&self) -> &EmContext {
+        &self.cluster.merge_ctx
+    }
+
+    fn num_objects(&self) -> u64 {
+        self.cluster.len
+    }
+
+    /// The two-round distribute/solve protocol (see [`crate::protocol`])
+    /// plus the canonical [`merge_sweep`] on the coordinator's merge device:
+    /// exactly the file the single-machine sharded pass produces.
+    fn slab_file(
         &self,
         size: RectSize,
         weight_scale: f64,
         root: Interval,
-        suppressed: &[Rect],
-        agg: &Mutex<IoSnapshot>,
+        suppressed: &Suppression,
     ) -> Result<TupleFile<SlabTuple>> {
-        let partition = self.clipped_partition(root);
-        let owners = self.slab_owners(&partition);
+        let (c, agg) = (self.cluster, &self.remote);
+        let partition = c.map.clipped_partition(root);
+        let owners = c.map.slab_owners(&partition);
         let m = partition.num_slabs();
-        let engaged = self.engaged_sources(size, root);
-        let servers = self.engaged_servers(&engaged);
+        let engaged = c.map.engaged(size, root);
+        let servers = c.engaged_servers(&engaged);
         let pass = PassSpec {
             size,
             weight_scale,
@@ -560,11 +503,11 @@ impl ClusterCoordinator {
             bounds: partition.boundaries.clone(),
             owners: owners.iter().map(|&o| o as u32).collect(),
             engaged: engaged.iter().map(|&s| s as u32).collect(),
-            suppressed: suppressed.to_vec(),
+            suppressed: suppressed.rects().to_vec(),
         };
 
         // Round 1 — distribute: spans and cross-server piece exports.
-        let responses = self.fan_out_same(&servers, &Request::Distribute(pass.clone()), agg)?;
+        let responses = c.fan_out_same(&servers, &Request::Distribute(pass.clone()), agg)?;
         let mut span_sets: Vec<(u32, Vec<SpanEvent>)> = Vec::new();
         let mut exports: BTreeMap<(u32, u32), Vec<maxrs_core::RectRecord>> = BTreeMap::new();
         for response in responses {
@@ -593,7 +536,7 @@ impl ClusterCoordinator {
         for ((source, slab), rects) in exports {
             let owner = owners[slab as usize];
             imported
-                .entry(self.shards[owner].server)
+                .entry(c.shards[owner].server)
                 .or_default()
                 .push(PieceSet {
                     source,
@@ -613,7 +556,7 @@ impl ClusterCoordinator {
                 )
             })
             .collect();
-        let responses = self.fan_out_requests(requests, agg)?;
+        let responses = c.fan_out_requests(requests, agg)?;
 
         let mut slab_tuples: Vec<Option<Vec<SlabTuple>>> = (0..m).map(|_| None).collect();
         for response in responses {
@@ -646,85 +589,44 @@ impl ClusterCoordinator {
         let mut slab_files: Vec<TupleFile<SlabTuple>> = Vec::with_capacity(m);
         let body = (|| -> Result<TupleFile<SlabTuple>> {
             for tuples in &resolved {
-                slab_files.push(self.merge_ctx.write_all(tuples)?);
+                slab_files.push(c.merge_ctx.write_all(tuples)?);
             }
             span_sets.sort_by_key(|&(source, _)| source);
             let all_spans: Vec<SpanEvent> = span_sets
                 .iter()
                 .flat_map(|(_, events)| events.iter().copied())
                 .collect();
-            let unsorted = self.merge_ctx.write_all(&all_spans)?;
-            let sorted = external_sort_by_key(&self.merge_ctx, &unsorted, |e| e.y);
-            self.merge_ctx.delete_file(unsorted)?;
+            let unsorted = c.merge_ctx.write_all(&all_spans)?;
+            let sorted = external_sort_by_key(&c.merge_ctx, &unsorted, |e| e.y);
+            c.merge_ctx.delete_file(unsorted)?;
             let sorted = sorted?;
-            let merged = merge_sweep(&self.merge_ctx, &slab_files, &partition.slabs(), &sorted);
-            self.merge_ctx.delete_file(sorted)?;
+            let merged = merge_sweep(&c.merge_ctx, &slab_files, &partition.slabs(), &sorted);
+            c.merge_ctx.delete_file(sorted)?;
             Ok(merged?)
         })();
         for f in slab_files.drain(..) {
-            let _ = self.merge_ctx.delete_file(f);
+            let _ = c.merge_ctx.delete_file(f);
         }
         body
     }
 
-    /// The full distributed MaxRS pipeline: sweep → extract → canonicalize.
-    fn cluster_max_rs(
-        &self,
-        size: RectSize,
-        suppressed: &[Rect],
-        agg: &Mutex<IoSnapshot>,
-    ) -> Result<MaxRsResult> {
-        if self.len == 0 {
-            return Ok(MaxRsResult::empty());
-        }
-        let merged = self.cluster_slab_file(size, 1.0, Interval::UNBOUNDED, suppressed, agg)?;
-        let result = extract_best(&self.merge_ctx, &merged);
-        self.merge_ctx.delete_file(merged)?;
-        self.canonicalize(size, Interval::UNBOUNDED, suppressed, result?, agg)
-    }
-
-    /// Min-next-breakpoint canonicalization across the cluster: every
-    /// server reports the minimum over its hosted shards, the coordinator
-    /// takes the minimum across servers — together exactly the all-shards
-    /// loop of the single-machine canonicalize.
-    fn canonicalize(
-        &self,
-        size: RectSize,
-        root: Interval,
-        suppressed: &[Rect],
-        result: MaxRsResult,
-        agg: &Mutex<IoSnapshot>,
-    ) -> Result<MaxRsResult> {
-        if !result.region.x_lo.is_finite() && !result.region.x_hi.is_finite() {
-            // The empty-dataset sentinel; nothing to widen.
-            return Ok(result);
-        }
-        let hi = self.min_breakpoint(size, root, result.region.x_lo, suppressed, agg)?;
-        let x = Interval::new(result.region.x_lo, hi);
-        Ok(MaxRsResult {
-            center: Point::new(x.representative(), result.center.y),
-            total_weight: result.total_weight,
-            region: Rect::new(x.lo, x.hi, result.region.y_lo, result.region.y_hi),
-        })
-    }
-
-    fn min_breakpoint(
+    /// Every server reports the minimum over its hosted shards; the
+    /// coordinator takes the minimum across servers.
+    fn next_breakpoint(
         &self,
         size: RectSize,
         root: Interval,
         after_x: f64,
-        suppressed: &[Rect],
-        agg: &Mutex<IoSnapshot>,
+        suppressed: &Suppression,
     ) -> Result<f64> {
         let request = Request::Breakpoint {
             size,
             root,
             after_x,
-            suppressed: suppressed.to_vec(),
+            suppressed: suppressed.rects().to_vec(),
         };
-        let responses = self.fan_out_same(&self.all_servers(), &request, agg)?;
         let mut hi = f64::INFINITY;
-        for response in responses {
+        for response in self.ask_all(&request)? {
             let Response::Breakpoint { hi: h, .. } = response else {
                 return Err(wrong_reply("Breakpoint"));
             };
@@ -733,178 +635,59 @@ impl ClusterCoordinator {
         Ok(hi)
     }
 
-    /// Greedy suppression rounds; each round is a full distributed MaxRS
-    /// over the objects not strictly inside any already-chosen rectangle
-    /// (carried statelessly in every request).
-    fn top_k(&self, size: RectSize, k: usize, agg: &Mutex<IoSnapshot>) -> Result<Vec<MaxRsResult>> {
-        let mut results = Vec::new();
-        let mut suppressed: Vec<Rect> = Vec::new();
-        for _ in 0..k {
-            let best = self.cluster_max_rs(size, &suppressed, agg)?;
-            if best.total_weight <= 0.0 {
-                break;
-            }
-            suppressed.push(Rect::centered_at(best.center, size));
-            results.push(best);
-        }
-        Ok(results)
-    }
-
-    /// Steps 1–3 of ApproxMaxCRS: distributed MaxRS on the MBR transform,
-    /// then the five-candidate refinement with per-shard sums accumulated
-    /// in shard order (the same order the single-machine refine uses).
-    fn approx_max_crs(
-        &self,
-        diameter: f64,
-        sigma_fraction: f64,
-        agg: &Mutex<IoSnapshot>,
-    ) -> Result<MaxCrsResult> {
-        if self.len == 0 {
-            return Ok(MaxCrsResult::empty());
-        }
-        let best = self.cluster_max_rs(RectSize::square(diameter), &[], agg)?;
-        let candidates = candidate_points(best.center, diameter, sigma_fraction);
+    /// Per-shard sums accumulated in shard order, the order of the
+    /// single-machine scan.
+    fn candidate_sums(&self, candidates: &[Point], diameter: f64) -> Result<Vec<f64>> {
         let request = Request::Evaluate {
             candidates: candidates.to_vec(),
             diameter,
         };
-        let responses = self.fan_out_same(&self.all_servers(), &request, agg)?;
         let mut per_shard: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-        for response in responses {
+        for response in self.ask_all(&request)? {
             let Response::Evaluated { sums, .. } = response else {
                 return Err(wrong_reply("Evaluate"));
             };
-            for (shard, s) in sums {
-                per_shard.insert(shard, s);
-            }
+            per_shard.extend(sums);
         }
         let mut totals = vec![0.0f64; candidates.len()];
-        for shard in 0..self.shards.len() as u32 {
-            if let Some(sums) = per_shard.get(&shard) {
-                for (t, s) in totals.iter_mut().zip(sums.iter()) {
-                    *t += s;
-                }
+        for sums in per_shard.values() {
+            for (t, s) in totals.iter_mut().zip(sums) {
+                *t += s;
             }
         }
-        Ok(best_candidate(&candidates, &totals))
+        Ok(totals)
     }
 
-    /// MinRS: the weight-negated pass over the domain's x-slab, the strip
-    /// scan on the merged slab-file, and the canonical finalization — all
-    /// mirroring the single-machine MinRS group.
-    fn min_rs(&self, size: RectSize, domain: Rect, agg: &Mutex<IoSnapshot>) -> Result<MaxRsResult> {
-        if domain.x_lo == domain.x_hi || domain.y_lo == domain.y_hi {
-            return self.degenerate_min_rs(size, domain, agg);
-        }
-        if self.len == 0 {
-            return Ok(MaxRsResult {
-                center: domain.center(),
-                total_weight: 0.0,
-                region: domain,
-            });
-        }
-        let slab = Interval::new(domain.x_lo, domain.x_hi);
-        let slab_file = self.cluster_slab_file(size, -1.0, slab, &[], agg)?;
-        let best = {
-            let mut reader = self.merge_ctx.open_reader(&slab_file);
-            let tuples = std::iter::from_fn(|| match reader.next_record() {
-                Ok(Some(t)) => Some(Ok(t)),
-                Ok(None) => None,
-                Err(e) => Some(Err(e.into())),
-            });
-            min_strip_scan(tuples, slab, domain)
-        };
-        self.merge_ctx.delete_file(slab_file)?;
-        match best? {
-            None => {
-                // Defensive mirror of the in-memory fallback: evaluate the
-                // domain center over the full object stream, fetched and
-                // scanned in shard order so the accumulation is exactly the
-                // single-machine all-shards scan.
-                let center = domain.center();
-                let query_rect = Rect::centered_at(center, size);
-                let mut total = 0.0;
-                for record in self.fetch_all_objects(agg)? {
-                    if query_rect.contains_open(&record.0.point) {
-                        total += record.0.weight;
-                    }
-                }
-                Ok(MaxRsResult {
-                    center,
-                    total_weight: total,
-                    region: domain,
-                })
-            }
-            Some((negated_sum, x, y, from_tuple)) => {
-                let x = if from_tuple {
-                    let hi = self.min_breakpoint(size, slab, x.lo, &[], agg)?;
-                    Interval::new(x.lo, hi)
-                } else {
-                    x
-                };
-                let center = Point::new(
-                    x.representative().clamp(domain.x_lo, domain.x_hi),
-                    y.representative().clamp(domain.y_lo, domain.y_hi),
-                );
-                Ok(MaxRsResult {
-                    center,
-                    // `0.0 - x` so an uncovered minimum reports +0.0
-                    // (mirrors `min_rs_in_memory`).
-                    total_weight: 0.0 - negated_sum,
-                    region: Rect::new(x.lo, x.hi, y.lo, y.hi),
-                })
-            }
-        }
-    }
-
-    /// Degenerate-domain MinRS: fetch every shard's records in shard order
-    /// and delegate to the in-memory reference, exactly like the sharded
-    /// executor's one-scan delegate.
-    fn degenerate_min_rs(
-        &self,
-        size: RectSize,
-        domain: Rect,
-        agg: &Mutex<IoSnapshot>,
-    ) -> Result<MaxRsResult> {
-        if self.len == 0 {
-            return Ok(MaxRsResult {
-                center: domain.center(),
-                total_weight: 0.0,
-                region: domain,
-            });
-        }
-        let records = self.fetch_all_objects(agg)?;
-        let points: Vec<WeightedPoint> = records.iter().map(|r| r.0).collect();
-        Ok(min_rs_in_memory(&points, size, domain))
-    }
-
-    /// Every shard's object records concatenated in global shard order.
-    fn fetch_all_objects(&self, agg: &Mutex<IoSnapshot>) -> Result<Vec<ObjectRecord>> {
-        let responses = self.fan_out_same(&self.all_servers(), &Request::FetchObjects, agg)?;
+    /// Every shard's objects concatenated in shard order.
+    fn objects(&self) -> Result<Vec<WeightedPoint>> {
         let mut per_shard: BTreeMap<u32, Vec<ObjectRecord>> = BTreeMap::new();
-        for response in responses {
+        for response in self.ask_all(&Request::FetchObjects)? {
             let Response::Objects { objects, .. } = response else {
                 return Err(wrong_reply("FetchObjects"));
             };
-            for (shard, records) in objects {
-                per_shard.insert(shard, records);
-            }
+            per_shard.extend(objects);
         }
-        let mut all = Vec::with_capacity(self.len as usize);
-        for shard in 0..self.shards.len() as u32 {
-            if let Some(records) = per_shard.remove(&shard) {
-                all.extend(records);
-            }
-        }
-        Ok(all)
+        Ok(per_shard.into_values().flatten().map(|r| r.0).collect())
+    }
+
+    fn io(&self) -> IoSnapshot {
+        *self.remote.lock().expect("io lock") + self.cluster.merge_ctx.stats()
+    }
+
+    fn group_workers(&self) -> usize {
+        1
+    }
+
+    fn workers(&self) -> usize {
+        self.cluster.members.len()
     }
 }
 
-fn query_root(query: &Query) -> (RectSize, Interval) {
-    match *query {
-        Query::MaxRs { size } | Query::TopK { size, .. } => (size, Interval::UNBOUNDED),
-        Query::MinRs { size, domain } => (size, Interval::new(domain.x_lo, domain.x_hi)),
-        Query::ApproxMaxCrs { diameter, .. } => (RectSize::square(diameter), Interval::UNBOUNDED),
+impl ClusterPass<'_> {
+    /// Sends `request` to every server, metering the replies' I/O.
+    fn ask_all(&self, request: &Request) -> Result<Vec<Response>> {
+        let servers: Vec<usize> = (0..self.cluster.members.len()).collect();
+        self.cluster.fan_out_same(&servers, request, &self.remote)
     }
 }
 

@@ -101,7 +101,7 @@ pub use transport::{
     TcpTransport, Transport,
 };
 
-use maxrs_core::select_shard_boundaries;
+use maxrs_core::{select_shard_boundaries, ShardMap};
 use maxrs_geometry::WeightedPoint;
 
 /// Splits `objects` into `shards` x-ranges using the same deterministic
@@ -119,13 +119,14 @@ pub fn partition_objects(
     shards: usize,
     boundary_sample: usize,
 ) -> (Vec<f64>, Vec<Vec<WeightedPoint>>) {
-    let k = shards.max(1);
-    let boundaries = select_shard_boundaries(objects, k, boundary_sample);
-    let mut parts: Vec<Vec<WeightedPoint>> =
-        (0..boundaries.len() + 1).map(|_| Vec::new()).collect();
+    let map = ShardMap::new(select_shard_boundaries(
+        objects,
+        shards.max(1),
+        boundary_sample,
+    ));
+    let mut parts: Vec<Vec<WeightedPoint>> = (0..map.num_shards()).map(|_| Vec::new()).collect();
     for o in objects {
-        let idx = boundaries.partition_point(|&b| b <= o.point.x);
-        parts[idx].push(*o);
+        parts[map.shard_of(o.point.x)].push(*o);
     }
-    (boundaries, parts)
+    (map.boundaries().to_vec(), parts)
 }

@@ -19,8 +19,9 @@
 //! interleaved queries from several coordinators, and failover need no
 //! session bookkeeping.  Top-k suppression rounds stay stateless the same
 //! way: every request carries the list of already-chosen rectangles
-//! ([`PassSpec::suppressed`]) and servers filter their object files per
-//! request.
+//! ([`PassSpec::suppressed`]), and every scan a server runs for the request
+//! skips the objects strictly inside one of them — no filtered file is
+//! written.
 //!
 //! The encoding is length-prefixed little-endian, reusing the exact on-disk
 //! [`Record`] codecs for records, so a record crosses the wire bit-identical
@@ -55,7 +56,7 @@ pub struct PassSpec {
     /// Engaged source shards, ascending.
     pub engaged: Vec<u32>,
     /// Top-k suppression: objects strictly inside any of these rectangles
-    /// are filtered out of every scan of the pass.
+    /// are skipped by every scan of the pass.
     pub suppressed: Vec<Rect>,
 }
 

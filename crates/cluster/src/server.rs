@@ -6,22 +6,24 @@
 //! calls it directly; the TCP transport calls it from connection threads
 //! (all request state is per-call, so `handle` is freely concurrent).
 //!
-//! Every handler is a **verbatim mirror** of the corresponding phase of the
-//! single-machine [`ShardedDataset`](maxrs_core::ShardedDataset): the same
-//! cropping rule, the same piece ordering, the same scans — restricted to
-//! the shards this server hosts.  That is what makes the coordinator's
-//! merged answers bit-identical to the unsharded sweep.
+//! Every handler runs the corresponding phase of the single-machine
+//! [`ShardedDataset`](maxrs_core::ShardedDataset) on the shards this server
+//! hosts: the one cropping rule ([`SlabPartition::crop`]), the same piece
+//! ordering, the same suppression-skipping scans ([`Suppression`]).  That
+//! is what makes the coordinator's merged answers bit-identical to the
+//! unsharded sweep.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::path::Path;
 
 use maxrs_core::shard::prepare_shard;
 use maxrs_core::sweep::{next_breakpoint_after, solve_rects};
 use maxrs_core::{
-    evaluate_candidates, EngineOptions, ExactMaxRsOptions, ObjectRecord, PreparedDataset,
-    RectRecord, Result as CoreResult, SlabPartition, SpanEvent,
+    evaluate_candidates, EngineOptions, ExactMaxRsOptions, PreparedDataset, RectRecord,
+    Result as CoreResult, SlabPartition, SpanEvent, Suppression,
 };
-use maxrs_em::{EmContext, IoSnapshot, TupleFile};
+use maxrs_em::{EmContext, IoSnapshot};
 use maxrs_geometry::{Rect, WeightedPoint};
 
 use crate::protocol::{PassSpec, PieceSet, Request, Response, ShardInfo};
@@ -162,6 +164,42 @@ impl ShardServer {
             .expect("hosted shards are always external")
     }
 
+    /// One hosted source shard's distribute scan — the scan of the
+    /// single-machine sharded distribute: every unsuppressed object becomes
+    /// the pass's rectangle, cropped by [`SlabPartition::crop`] into `piece`
+    /// and `span`.
+    fn crop_hosted(
+        &self,
+        h: &HostedShard,
+        pass: &PassSpec,
+        partition: &SlabPartition,
+        mut piece: impl FnMut(usize, &RectRecord),
+        mut span: impl FnMut([SpanEvent; 2]),
+    ) -> CoreResult<()> {
+        let suppressed = Suppression::new(pass.suppressed.clone());
+        let (ctx, file) = h.data.external_parts().expect("shards are external");
+        let mut reader = ctx.open_reader(file);
+        while let Some(rec) = reader.next_record()? {
+            if suppressed.covers(&rec.0.point) {
+                continue;
+            }
+            let record =
+                RectRecord::new(rec.0.to_rect(pass.size), pass.weight_scale * rec.0.weight);
+            let Ok(()) = partition.crop::<Infallible>(
+                &record,
+                |t, p| {
+                    piece(t, p);
+                    Ok(())
+                },
+                |pair| {
+                    span(pair);
+                    Ok(())
+                },
+            );
+        }
+        Ok(())
+    }
+
     // ---- handlers -----------------------------------------------------------
 
     fn describe(&self) -> Response {
@@ -201,54 +239,23 @@ impl ShardServer {
             if !pass.engaged.contains(&(h.id as u32)) {
                 continue;
             }
-            let (ctx, file) = h.data.external_parts().expect("shards are external");
-            let filtered = filtered_file(ctx, file, &pass.suppressed)?;
             let mut events: Vec<SpanEvent> = Vec::new();
-            let scan = (|| -> CoreResult<()> {
-                let mut reader = ctx.open_reader(filtered.file());
-                while let Some(rec) = reader.next_record()? {
-                    let record =
-                        RectRecord::new(rec.0.to_rect(pass.size), pass.weight_scale * rec.0.weight);
-                    let j = partition.locate(record.rect.x_lo);
-                    let k = partition.locate(record.rect.x_hi);
-                    if j == k {
-                        export_piece(&mut exported, self, pass, h.id, j, &record);
-                    } else {
-                        let left = RectRecord::new(
-                            Rect::new(
-                                record.rect.x_lo,
-                                partition.boundaries[j + 1],
-                                record.rect.y_lo,
-                                record.rect.y_hi,
-                            ),
-                            record.weight,
-                        );
-                        export_piece(&mut exported, self, pass, h.id, j, &left);
-                        let right = RectRecord::new(
-                            Rect::new(
-                                partition.boundaries[k],
-                                record.rect.x_hi,
-                                record.rect.y_lo,
-                                record.rect.y_hi,
-                            ),
-                            record.weight,
-                        );
-                        export_piece(&mut exported, self, pass, h.id, k, &right);
-                        if k > j + 1 {
-                            events.extend(SpanEvent::pair(
-                                record.rect.y_lo,
-                                record.rect.y_hi,
-                                record.weight,
-                                (j + 1) as u32,
-                                (k - 1) as u32,
-                            ));
-                        }
+            self.crop_hosted(
+                h,
+                pass,
+                &partition,
+                |t, piece| {
+                    // Locally owned pieces are regenerated in round 2.
+                    let owner = pass.owners.get(t).map_or(usize::MAX, |&o| o as usize);
+                    if !self.hosts(owner) {
+                        exported
+                            .entry((h.id as u32, t as u32))
+                            .or_default()
+                            .push(*piece);
                     }
-                }
-                Ok(())
-            })();
-            filtered.cleanup(ctx)?;
-            scan?;
+                },
+                |pair| events.extend(pair),
+            )?;
             if !events.is_empty() {
                 spans.push((h.id as u32, events));
             }
@@ -301,44 +308,18 @@ impl ShardServer {
             if !pass.engaged.contains(&(h.id as u32)) {
                 continue;
             }
-            let (ctx, file) = h.data.external_parts().expect("shards are external");
-            let filtered = filtered_file(ctx, file, &pass.suppressed)?;
-            let scan = (|| -> CoreResult<()> {
-                let mut reader = ctx.open_reader(filtered.file());
-                while let Some(rec) = reader.next_record()? {
-                    let record =
-                        RectRecord::new(rec.0.to_rect(pass.size), pass.weight_scale * rec.0.weight);
-                    let j = partition.locate(record.rect.x_lo);
-                    let k = partition.locate(record.rect.x_hi);
-                    if j == k {
-                        push_owned(self, &owners, &mut pieces, h.id, j, &record);
-                    } else {
-                        let left = RectRecord::new(
-                            Rect::new(
-                                record.rect.x_lo,
-                                partition.boundaries[j + 1],
-                                record.rect.y_lo,
-                                record.rect.y_hi,
-                            ),
-                            record.weight,
-                        );
-                        push_owned(self, &owners, &mut pieces, h.id, j, &left);
-                        let right = RectRecord::new(
-                            Rect::new(
-                                partition.boundaries[k],
-                                record.rect.x_hi,
-                                record.rect.y_lo,
-                                record.rect.y_hi,
-                            ),
-                            record.weight,
-                        );
-                        push_owned(self, &owners, &mut pieces, h.id, k, &right);
+            // Pieces of slabs owned elsewhere were exported in round 1.
+            self.crop_hosted(
+                h,
+                pass,
+                &partition,
+                |t, piece| {
+                    if self.hosts(owners[t]) {
+                        pieces.entry((h.id, t)).or_default().push(*piece);
                     }
-                }
-                Ok(())
-            })();
-            filtered.cleanup(ctx)?;
-            scan?;
+                },
+                |_| {},
+            )?;
         }
 
         // Merge the imported piece sets.  The keys cannot collide with the
@@ -393,13 +374,18 @@ impl ShardServer {
         after_x: f64,
         suppressed: &[Rect],
     ) -> CoreResult<Response> {
+        let suppressed = Suppression::new(suppressed.to_vec());
         let mut hi = f64::INFINITY;
         for h in &self.hosted {
             let (ctx, file) = h.data.external_parts().expect("shards are external");
-            let filtered = filtered_file(ctx, file, suppressed)?;
-            let scanned = next_breakpoint_after(ctx, filtered.file(), size, root, after_x);
-            filtered.cleanup(ctx)?;
-            hi = hi.min(scanned?);
+            hi = hi.min(next_breakpoint_after(
+                ctx,
+                file,
+                size,
+                root,
+                after_x,
+                &suppressed,
+            )?);
         }
         Ok(Response::Breakpoint {
             hi,
@@ -449,86 +435,4 @@ impl std::fmt::Debug for ShardServer {
             .field("hosted", &self.hosted_shards())
             .finish()
     }
-}
-
-/// Exports a cropped piece when its owner slab is hosted on another server;
-/// locally-owned pieces are regenerated in round 2 instead.
-fn export_piece(
-    exported: &mut BTreeMap<(u32, u32), Vec<RectRecord>>,
-    server: &ShardServer,
-    pass: &PassSpec,
-    source: usize,
-    t: usize,
-    record: &RectRecord,
-) {
-    let owner = pass
-        .owners
-        .get(t)
-        .map(|&o| o as usize)
-        .unwrap_or(usize::MAX);
-    if !server.hosts(owner) {
-        exported
-            .entry((source as u32, t as u32))
-            .or_default()
-            .push(*record);
-    }
-}
-
-/// Collects a piece of a locally-owned global slab; pieces of slabs owned
-/// elsewhere are dropped (they were exported in round 1).
-fn push_owned(
-    server: &ShardServer,
-    owners: &[usize],
-    pieces: &mut BTreeMap<(usize, usize), Vec<RectRecord>>,
-    source: usize,
-    t: usize,
-    record: &RectRecord,
-) {
-    if server.hosts(owners[t]) {
-        pieces.entry((source, t)).or_default().push(*record);
-    }
-}
-
-/// An object file with the top-k suppression filter applied: borrowed when
-/// no suppression is active, a materialized temporary otherwise.
-enum Filtered<'a> {
-    Borrowed(&'a TupleFile<ObjectRecord>),
-    Owned(TupleFile<ObjectRecord>),
-}
-
-impl<'a> Filtered<'a> {
-    fn file(&self) -> &TupleFile<ObjectRecord> {
-        match self {
-            Filtered::Borrowed(f) => f,
-            Filtered::Owned(f) => f,
-        }
-    }
-
-    fn cleanup(self, ctx: &EmContext) -> CoreResult<()> {
-        if let Filtered::Owned(f) = self {
-            ctx.delete_file(f)?;
-        }
-        Ok(())
-    }
-}
-
-/// Applies the suppression filter exactly like the single-machine top-k
-/// rounds: an object strictly inside any chosen rectangle is removed, order
-/// preserved.
-fn filtered_file<'a>(
-    ctx: &EmContext,
-    file: &'a TupleFile<ObjectRecord>,
-    suppressed: &[Rect],
-) -> CoreResult<Filtered<'a>> {
-    if suppressed.is_empty() {
-        return Ok(Filtered::Borrowed(file));
-    }
-    let filtered = ctx.filter_map_file(file, |rec: ObjectRecord| {
-        if suppressed.iter().any(|r| r.contains_open(&rec.0.point)) {
-            None
-        } else {
-            Some(rec)
-        }
-    })?;
-    Ok(Filtered::Owned(filtered))
 }

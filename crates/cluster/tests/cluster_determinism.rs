@@ -19,7 +19,8 @@ use maxrs_cluster::{
     ShardServer, TcpServerHandle, TcpTransport, Transport,
 };
 use maxrs_core::{
-    EngineOptions, ExactMaxRsOptions, MaxRsEngine, PreparedDataset, Query, ShardLayout,
+    max_k_rs_in_memory, EngineOptions, ExactMaxRsOptions, MaxRsEngine, PreparedDataset, Query,
+    QueryAnswer, QueryRun, ShardLayout,
 };
 use maxrs_datagen::{Dataset, DatasetKind, SPACE_EXTENT};
 use maxrs_em::{EmConfig, IoSnapshot, StorageBackend};
@@ -378,6 +379,82 @@ fn io_snapshot_is_invariant_across_topology_transport_and_backend() {
         3,
     ));
     assert_eq!(reference, fs, "backend changed the I/O");
+}
+
+/// A cluster batch shares one distributed pass per sweep group: MaxRS,
+/// top-k and ApproxMaxCRS of one size answer exactly as per-query runs do,
+/// while the batch's summed I/O is strictly below the per-query sum.
+#[test]
+fn cluster_batch_shares_sweep_passes() {
+    let extent = 1000.0;
+    let objects = pseudo_random_objects(1600, 61, extent);
+    let cluster = in_process_cluster(options_with(StorageBackend::Sim), &objects, 4, 2);
+    let side = 0.12 * extent;
+    let size = RectSize::square(side);
+    let queries = [
+        Query::max_rs(size),
+        Query::top_k(size, 3),
+        Query::approx_max_crs(side),
+    ];
+    let single: Vec<QueryRun> = queries.iter().map(|q| cluster.run(q).unwrap()).collect();
+    let batch = cluster.run_batch(&queries).unwrap();
+    for ((query, s), b) in queries.iter().zip(&single).zip(&batch) {
+        assert_eq!(s.answer, b.answer, "batched {} diverged", query.name());
+    }
+    let total = |runs: &[QueryRun]| {
+        runs.iter()
+            .fold(IoSnapshot::default(), |acc, r| acc + r.io)
+            .total()
+    };
+    assert!(
+        total(&batch) < total(&single),
+        "batch moved {} blocks, per-query runs {}",
+        total(&batch),
+        total(&single)
+    );
+}
+
+/// Deep top-k on tie-heavy data — k = 40, and a k larger than the number of
+/// placements the greedy finds — is bit-identical on five paths: the single
+/// sorted file, a K = 4 sharded dataset, a 2-server in-process cluster, a
+/// 2-server TCP cluster and the in-memory greedy.
+#[test]
+fn deep_top_k_is_bit_identical_across_five_paths() {
+    let objects = tie_heavy_objects(1500, 19);
+    let opts = options_with(StorageBackend::Sim);
+    let engine = MaxRsEngine::with_options(opts);
+    let prepared = engine.prepare(&objects).unwrap();
+    assert!(prepared.is_external());
+    let sharded = engine
+        .prepare_sharded(&objects, &ShardLayout::new(4))
+        .unwrap();
+    let in_process = in_process_cluster(opts, &objects, 4, 2);
+    let (tcp, _handles) = tcp_cluster(opts, &objects, 4, 2);
+    for (size, k) in [
+        (RectSize::square(60.0), 40),
+        (RectSize::square(300.0), 5000),
+    ] {
+        let query = Query::top_k(size, k);
+        let reference = max_k_rs_in_memory(&objects, size, k);
+        if k == 40 {
+            assert_eq!(reference.len(), 40, "k = 40 must run all rounds");
+        } else {
+            assert!(reference.len() < k, "k must exceed the placements");
+        }
+        let reference = QueryAnswer::TopK(reference);
+        let paths = [
+            ("prepared", prepared.run(&query).unwrap().answer),
+            ("sharded", sharded.run(&query).unwrap().answer),
+            ("in-process cluster", in_process.run(&query).unwrap().answer),
+            ("tcp cluster", tcp.run(&query).unwrap().answer),
+        ];
+        for (path, answer) in paths {
+            assert_eq!(
+                answer, reference,
+                "{path} top-{k} diverged from the in-memory greedy"
+            );
+        }
+    }
 }
 
 /// Whole-space MinRS over sparse data ties at 0 in many arrangement cells;

@@ -1,5 +1,5 @@
-//! Batched multi-query execution: answer M queries over one
-//! [`PreparedDataset`](crate::PreparedDataset) in shared sweep passes.
+//! Batched multi-query execution: answer M queries in shared sweep passes,
+//! wherever the data lives.
 //!
 //! A serving workload rarely asks one question of a dataset — it asks many:
 //! MaxRS at a few rectangle sizes, top-k follow-ups, a MinRS sanity check, a
@@ -7,8 +7,8 @@
 //! per question even though queries of the *same* rectangle size share their
 //! transform, their slab recursion and their winning strip.  [`QueryBatch`]
 //! plans a slice of [`Query`]s into **sweep groups** — queries whose answers
-//! fall out of one [`SweepPass`] — and the executor
-//! runs each group's kernel pass once:
+//! fall out of one pass — and [`QueryBatch::execute`] runs each group's
+//! kernel pass once:
 //!
 //! * [`Query::MaxRs`], [`Query::TopK`] and [`Query::ApproxMaxCrs`] of one
 //!   rectangle size (a circle's MBR is the `d × d` square) share one
@@ -20,17 +20,28 @@
 //!   weight-negated pass; each member streams its own domain-clipped strip
 //!   scan over the shared slab-file.
 //!
-//! Independent groups execute concurrently on the existing
-//! [`parallel_map`](crate::parallel::parallel_map()) worker pool; the sharded
+//! # One executor, three layouts
+//!
+//! The variant logic above is written once, over the [`SweepSource`] trait:
+//! a layout supplies only the merged slab-file of a pass, the minimum
+//! next-breakpoint over its data, the candidate sums of ApproxMaxCRS, its
+//! objects in x order and its I/O meter.  The single x-sorted file of
+//! [`PreparedDataset`](crate::PreparedDataset) and
+//! [`DeltaDataset`](crate::DeltaDataset) runs a presorted
+//! [`SweepPass`]; [`ShardedDataset`](crate::ShardedDataset) runs its
+//! concurrent shard-routed pass; `maxrs-cluster`'s coordinator runs the
+//! distribute/solve protocol against its servers.  Top-k suppression has
+//! one form everywhere: the list of chosen rectangles ([`Suppression`]),
+//! which every scan of a later round's pass skips — no filtered object file
+//! is ever written.
+//!
+//! On the single file, independent groups execute concurrently on the
+//! [`parallel_map`] worker pool; the sharded
 //! [`IoStats`](maxrs_em::IoStats) keep the global count exact, and
-//! [`measure_thread_io`](maxrs_em::measure_thread_io()) attributes each group's
-//! transfers to its queries.  Answers are **bit-identical** to per-query
-//! [`PreparedDataset::run`](crate::PreparedDataset::run) calls — in fact the
-//! per-query path *is* a batch of one, so the single-query and batched code
-//! can never diverge.  When several groups run concurrently, each group's
-//! sweep solves its sub-slabs on one thread instead of several; both combine
-//! them with the same flat [`merge_sweep`](crate::merge_sweep()), so the
-//! answers are identical for any weights.
+//! [`measure_thread_io`] attributes each group's transfers to its queries.
+//! Answers are **bit-identical** to per-query `run` calls — the per-query
+//! path *is* a batch of one, so the single-query and batched code can never
+//! diverge.
 //!
 //! # I/O attribution
 //!
@@ -44,16 +55,19 @@ use std::collections::HashMap;
 use maxrs_em::{measure_thread_io, EmContext, IoSnapshot, TupleFile};
 use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
 
-use crate::approx::refine_from_p0;
+use crate::approx::{best_candidate, candidate_points, evaluate_candidates};
 use crate::engine::ExecutionStrategy;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::exact::ExactMaxRsOptions;
 use crate::extensions::{min_rs_in_memory, min_strip_scan, MinStrip};
 use crate::parallel::parallel_map;
 use crate::query::{Query, QueryAnswer, QueryRun};
-use crate::records::ObjectRecord;
+use crate::records::{ObjectRecord, SlabTuple};
 use crate::result::{MaxCrsResult, MaxRsResult};
-use crate::sweep::{next_breakpoint_after, SweepPass};
+use crate::sweep::{
+    extract_best, next_breakpoint_after, widen_to_breakpoint, Suppression, SweepPass,
+    NO_SUPPRESSION,
+};
 
 /// A validated slice of queries planned into shared sweep groups.
 ///
@@ -86,14 +100,14 @@ pub struct QueryBatch {
 
 /// One shared pass and the batch positions it answers.
 #[derive(Debug, Clone)]
-pub(crate) struct SweepGroup {
-    pub(crate) kind: GroupKind,
+struct SweepGroup {
+    kind: GroupKind,
     /// Indices into the batch's query list, in batch order.
-    pub(crate) members: Vec<usize>,
+    members: Vec<usize>,
 }
 
 #[derive(Debug, Clone)]
-pub(crate) enum GroupKind {
+enum GroupKind {
     /// Positive-weight pass over the unbounded root: MaxRS, top-k and
     /// ApproxMaxCRS of one rectangle size.
     Shared { size: RectSize },
@@ -187,22 +201,139 @@ impl QueryBatch {
     pub fn num_groups(&self) -> usize {
         self.groups.len()
     }
+}
 
-    /// The planned sweep groups, for executors outside this module (the
-    /// sharded dataset layer reuses the plan, shard-routing each group).
-    pub(crate) fn groups(&self) -> &[SweepGroup] {
-        &self.groups
+/// Where the data of a batch lives: the few pieces of a sweep pass that
+/// depend on the storage layout, and nothing else.
+///
+/// [`QueryBatch::execute`] writes every query variant once over this trait
+/// — the shared MaxRS / top-k / ApproxMaxCRS group, the MinRS group, the
+/// degenerate-MinRS delegate, min-breakpoint canonicalization and leader
+/// I/O attribution.  Three layouts implement it: one x-sorted object file
+/// ([`PreparedDataset`](crate::PreparedDataset) and
+/// [`DeltaDataset`](crate::DeltaDataset)), the in-process shards of a
+/// [`ShardedDataset`](crate::ShardedDataset), and the remote shard servers
+/// behind `maxrs-cluster`'s coordinator.
+///
+/// Every method that scans objects in x order must accumulate floats in
+/// that order (x order is shard order for sharded layouts), which is what
+/// keeps the answers bit-identical across layouts.
+pub trait SweepSource: Sync {
+    /// The error of the layout's operations.
+    type Error: From<CoreError> + Send;
+
+    /// The context merged slab-files live on: the executor scans them there
+    /// and deletes them there.
+    fn merge_ctx(&self) -> &EmContext;
+
+    /// Number of objects in the dataset.
+    fn num_objects(&self) -> u64;
+
+    /// The merged root slab-file of one pass on [`merge_ctx`]: every
+    /// unsuppressed object transformed to a `size` rectangle with its weight
+    /// multiplied by `weight_scale`, swept over the x-slab `root`.
+    ///
+    /// [`merge_ctx`]: SweepSource::merge_ctx
+    fn slab_file(
+        &self,
+        size: RectSize,
+        weight_scale: f64,
+        root: Interval,
+        suppressed: &Suppression,
+    ) -> std::result::Result<TupleFile<SlabTuple>, Self::Error>;
+
+    /// The minimum over the data of
+    /// [`next_breakpoint_after`].
+    fn next_breakpoint(
+        &self,
+        size: RectSize,
+        root: Interval,
+        after_x: f64,
+        suppressed: &Suppression,
+    ) -> std::result::Result<f64, Self::Error>;
+
+    /// The open-disk weight sum of every candidate
+    /// ([`evaluate_candidates`]),
+    /// summed in x order.
+    fn candidate_sums(
+        &self,
+        candidates: &[Point],
+        diameter: f64,
+    ) -> std::result::Result<Vec<f64>, Self::Error>;
+
+    /// Every object, in x order.
+    fn objects(&self) -> std::result::Result<Vec<WeightedPoint>, Self::Error>;
+
+    /// The layout's I/O meter: blocks moved so far, over every device a
+    /// pass touches.
+    fn io(&self) -> IoSnapshot;
+
+    /// How many sweep groups may run at once.  Above 1, groups share the
+    /// [`parallel_map`] pool and meter their I/O per thread, so every pass
+    /// must then run on the calling thread.
+    fn group_workers(&self) -> usize;
+
+    /// The worker count every run of a batch reports; above 1 the runs
+    /// report [`ExecutionStrategy::ExternalParallel`].
+    fn workers(&self) -> usize;
+}
+
+impl QueryBatch {
+    /// Answers the batch over `source`: one pass per sweep group, groups
+    /// concurrent when the source allows it.  Runs come back in query order;
+    /// each reports I/O under the leader-attribution rule (module docs).
+    pub fn execute<S: SweepSource>(
+        &self,
+        source: &S,
+    ) -> std::result::Result<Vec<QueryRun>, S::Error> {
+        let group_workers = source.group_workers().min(self.groups.len());
+        let exec = Executor {
+            source,
+            batch: self,
+            meter: if group_workers > 1 {
+                Meter::ThreadLocal
+            } else {
+                Meter::GlobalDelta
+            },
+        };
+        // `parallel_map` runs the groups in order on this thread when
+        // `group_workers` is 1.
+        let outcomes = parallel_map(group_workers, self.groups.iter().collect(), |_, group| {
+            exec.run_group(group)
+        });
+
+        let workers = source.workers();
+        let strategy = if workers > 1 {
+            ExecutionStrategy::ExternalParallel
+        } else {
+            ExecutionStrategy::ExternalSequential
+        };
+        let mut runs: Vec<Option<QueryRun>> = self.queries.iter().map(|_| None).collect();
+        for outcome in outcomes {
+            for m in outcome? {
+                runs[m.index] = Some(QueryRun {
+                    answer: m.answer,
+                    strategy,
+                    workers,
+                    io: m.io,
+                });
+            }
+        }
+        Ok(runs
+            .into_iter()
+            .map(|r| r.expect("every query belongs to exactly one group"))
+            .collect())
     }
 }
 
 /// One member's outcome: the answer plus the I/O attributed to it.
-pub(crate) struct MemberOut {
-    pub(crate) index: usize,
-    pub(crate) answer: QueryAnswer,
-    pub(crate) io: IoSnapshot,
+struct MemberOut {
+    index: usize,
+    answer: QueryAnswer,
+    io: IoSnapshot,
 }
 
-/// How group phases measure their I/O: global counter deltas when groups run
+/// How group phases measure their I/O: the source's meter when groups run
 /// one after another, per-thread meters when groups share the worker pool.
 #[derive(Clone, Copy)]
 enum Meter {
@@ -210,29 +341,412 @@ enum Meter {
     ThreadLocal,
 }
 
-fn measured<R>(
-    ctx: &EmContext,
+/// The variant layer: runs one batch's groups over a [`SweepSource`].
+struct Executor<'s, S> {
+    source: &'s S,
+    batch: &'s QueryBatch,
     meter: Meter,
-    f: impl FnOnce() -> Result<R>,
-) -> Result<(R, IoSnapshot)> {
-    match meter {
-        Meter::ThreadLocal => {
-            let (out, io) = measure_thread_io(f);
-            Ok((out?, io))
+}
+
+type Res<T, S> = std::result::Result<T, <S as SweepSource>::Error>;
+
+impl<S: SweepSource> Executor<'_, S> {
+    fn measured<R>(&self, f: impl FnOnce() -> Res<R, S>) -> Res<(R, IoSnapshot), S> {
+        match self.meter {
+            Meter::ThreadLocal => {
+                let (out, io) = measure_thread_io(f);
+                Ok((out?, io))
+            }
+            Meter::GlobalDelta => {
+                let before = self.source.io();
+                let out = f()?;
+                Ok((out, self.source.io().delta(&before)))
+            }
         }
-        Meter::GlobalDelta => {
-            let before = ctx.stats();
-            let out = f()?;
-            Ok((out, ctx.stats().delta(&before)))
+    }
+
+    fn run_group(&self, group: &SweepGroup) -> Res<Vec<MemberOut>, S> {
+        match group.kind {
+            GroupKind::Shared { size } => self.run_shared_group(size, &group.members),
+            GroupKind::MinRs { size, slab } => self.run_min_rs_group(size, slab, &group.members),
+            GroupKind::DegenerateMinRs => self.run_degenerate_min_rs(group.members[0]),
         }
+    }
+
+    /// The full MaxRS pipeline over the unsuppressed objects: sweep →
+    /// extract → canonicalize, the merged slab-file deleted.
+    fn max_rs(&self, size: RectSize, suppressed: &Suppression) -> Res<MaxRsResult, S> {
+        let ctx = self.source.merge_ctx();
+        let merged = self
+            .source
+            .slab_file(size, 1.0, Interval::UNBOUNDED, suppressed)?;
+        let result = extract_best(ctx, &merged);
+        ctx.delete_file(merged).map_err(CoreError::from)?;
+        // Canonicalize: the upper bound of the full arrangement cell is the
+        // minimum next-breakpoint over the data (see `crate::sweep`).
+        widen_to_breakpoint(result?, |x| {
+            self.source
+                .next_breakpoint(size, Interval::UNBOUNDED, x, suppressed)
+        })
+    }
+
+    /// The positive-weight group: one MaxRS kernel pass shared by every
+    /// member.
+    fn run_shared_group(&self, size: RectSize, members: &[usize]) -> Res<Vec<MemberOut>, S> {
+        let queries = &self.batch.queries;
+        // Top-k rounds are shared up to the largest requested k; a batch of
+        // only `k = 0` top-k queries (and nothing else) never needs the pass.
+        let max_k = members
+            .iter()
+            .filter_map(|&i| match queries[i] {
+                Query::TopK { k, .. } => Some(k),
+                _ => None,
+            })
+            .max();
+        let needs_pass = members
+            .iter()
+            .any(|&i| !matches!(queries[i], Query::TopK { k, .. } if k == 0));
+        if !needs_pass || self.source.num_objects() == 0 {
+            // Mirror the per-query empty/trivial answers at zero I/O.
+            return Ok(members
+                .iter()
+                .map(|&i| MemberOut {
+                    index: i,
+                    answer: match queries[i] {
+                        Query::MaxRs { .. } => QueryAnswer::MaxRs(MaxRsResult::empty()),
+                        Query::TopK { .. } => QueryAnswer::TopK(Vec::new()),
+                        Query::ApproxMaxCrs { .. } => QueryAnswer::MaxCrs(MaxCrsResult::empty()),
+                        Query::MinRs { .. } => unreachable!("MinRS plans into its own group"),
+                    },
+                    io: IoSnapshot::default(),
+                })
+                .collect());
+        }
+
+        // The shared phase: the full kernel pipeline once, charged to the
+        // leader.
+        let (best, shared_io) = self.measured(|| self.max_rs(size, &NO_SUPPRESSION))?;
+        // Shared top-k suppression rounds (round 1 is the shared best).
+        let (rounds, rounds_io) = match max_k {
+            Some(max_k) if max_k > 0 => self.measured(|| self.top_k_rounds(size, max_k, best))?,
+            _ => (Vec::new(), IoSnapshot::default()),
+        };
+
+        let mut out = Vec::with_capacity(members.len());
+        let mut shared_io = Some(shared_io);
+        let mut rounds_io = Some(rounds_io);
+        for &i in members {
+            let (answer, io) = match queries[i] {
+                Query::MaxRs { .. } => (QueryAnswer::MaxRs(best), IoSnapshot::default()),
+                Query::TopK { k, .. } => (
+                    QueryAnswer::TopK(rounds[..k.min(rounds.len())].to_vec()),
+                    // The shared rounds are charged to the first top-k member.
+                    rounds_io.take().unwrap_or_default(),
+                ),
+                Query::ApproxMaxCrs { diameter, .. } => {
+                    // Steps 2–3 of ApproxMaxCRS on the shared centroid.
+                    let sigma = queries[i]
+                        .sigma_fraction()
+                        .expect("approx variant has a sigma");
+                    let candidates = candidate_points(best.center, diameter, sigma);
+                    let (sums, refine_io) =
+                        self.measured(|| self.source.candidate_sums(&candidates, diameter))?;
+                    (
+                        QueryAnswer::MaxCrs(best_candidate(&candidates, &sums)),
+                        refine_io,
+                    )
+                }
+                Query::MinRs { .. } => unreachable!("MinRS plans into its own group"),
+            };
+            out.push(MemberOut {
+                index: i,
+                answer,
+                // The pass itself is charged to the group's first query.
+                io: io + shared_io.take().unwrap_or_default(),
+            });
+        }
+        Ok(out)
+    }
+
+    /// Greedy MaxkRS suppression rounds, round 1 supplied by the group's
+    /// shared pass.
+    ///
+    /// Each further round solves MaxRS over the objects outside every
+    /// placement chosen so far: the rounds' passes skip them in their scans
+    /// ([`Suppression`]) — the external analogue of
+    /// [`max_k_rs_in_memory`](crate::extensions::max_k_rs_in_memory)'s
+    /// `retain`, with the same answers, because canonical max-regions make
+    /// every round's center layout-independent.  Rounds do not depend on
+    /// `k`, so one shared sequence serves every top-k member (each takes its
+    /// prefix).
+    fn top_k_rounds(
+        &self,
+        size: RectSize,
+        max_k: usize,
+        first_best: MaxRsResult,
+    ) -> Res<Vec<MaxRsResult>, S> {
+        // At most one placement per object exists, so a huge k must not
+        // pre-allocate k slots (mirrors `max_k_rs_in_memory`).
+        let mut results = Vec::with_capacity(max_k.min(self.source.num_objects() as usize));
+        let mut suppressed = Suppression::default();
+        for round in 0..max_k {
+            let best = if round == 0 {
+                first_best
+            } else {
+                self.max_rs(size, &suppressed)?
+            };
+            if best.total_weight <= 0.0 {
+                break;
+            }
+            suppressed.push(Rect::centered_at(best.center, size));
+            results.push(best);
+        }
+        Ok(results)
+    }
+
+    /// The MinRS group: one weight-negated kernel pass over the shared
+    /// domain x-slab, then one domain-clipped strip scan per member —
+    /// streamed over the shared slab-file, exactly the scan
+    /// [`min_rs_in_memory`](crate::extensions::min_rs_in_memory) performs
+    /// over its in-memory tuple list.
+    fn run_min_rs_group(
+        &self,
+        size: RectSize,
+        slab: Interval,
+        members: &[usize],
+    ) -> Res<Vec<MemberOut>, S> {
+        let queries = &self.batch.queries;
+        let domain_of = |i: usize| match queries[i] {
+            Query::MinRs { domain, .. } => domain,
+            _ => unreachable!("MinRS groups hold MinRS queries"),
+        };
+        if self.source.num_objects() == 0 {
+            return Ok(members
+                .iter()
+                .map(|&i| MemberOut {
+                    index: i,
+                    answer: QueryAnswer::MinRs(uncovered(domain_of(i))),
+                    io: IoSnapshot::default(),
+                })
+                .collect());
+        }
+
+        let ctx = self.source.merge_ctx();
+        // The shared phase — negated transform + sweep — charged to the
+        // leader.
+        let (slab_file, shared_io) =
+            self.measured(|| self.source.slab_file(size, -1.0, slab, &NO_SUPPRESSION))?;
+
+        // Per-member strip scans over the shared slab-file.
+        let mut scans: Vec<(usize, Option<MinStrip>, IoSnapshot)> =
+            Vec::with_capacity(members.len());
+        let mut scan_err = None;
+        for &i in members {
+            let scanned = self.measured(|| {
+                let mut reader = ctx.open_reader(&slab_file);
+                let tuples = std::iter::from_fn(|| match reader.next_record() {
+                    Ok(Some(t)) => Some(Ok(t)),
+                    Ok(None) => None,
+                    Err(e) => Some(Err(e.into())),
+                });
+                Ok(min_strip_scan(tuples, slab, domain_of(i))?)
+            });
+            match scanned {
+                Ok((best, io)) => scans.push((i, best, io)),
+                Err(e) => {
+                    scan_err = Some(e);
+                    break;
+                }
+            }
+        }
+        // Delete the slab file before propagating a scan error so a failed
+        // query leaves no orphans on a long-lived context.
+        ctx.delete_file(slab_file).map_err(CoreError::from)?;
+        if let Some(e) = scan_err {
+            return Err(e);
+        }
+
+        let mut out = Vec::with_capacity(scans.len());
+        let mut shared_io = Some(shared_io);
+        for (i, best, scan_io) in scans {
+            let (result, finalize_io) =
+                self.measured(|| self.finalize_min_rs(size, slab, domain_of(i), best))?;
+            out.push(MemberOut {
+                index: i,
+                answer: QueryAnswer::MinRs(result),
+                io: scan_io + finalize_io + shared_io.take().unwrap_or_default(),
+            });
+        }
+        Ok(out)
+    }
+
+    /// Converts a member's winning strip into the canonical MinRS answer
+    /// (widening sweep cells back to full arrangement cells of the domain
+    /// slab).
+    fn finalize_min_rs(
+        &self,
+        size: RectSize,
+        slab: Interval,
+        domain: Rect,
+        best: Option<MinStrip>,
+    ) -> Res<MaxRsResult, S> {
+        match best {
+            None => {
+                // Unreachable for a non-degenerate domain (the strips
+                // partition the plane, so one of them clips to positive
+                // height), but kept as a defensive mirror of the in-memory
+                // fallback: evaluate the domain center directly.
+                let center = domain.center();
+                let query_rect = Rect::centered_at(center, size);
+                let total = self
+                    .source
+                    .objects()?
+                    .iter()
+                    .filter(|o| query_rect.contains_open(&o.point))
+                    .fold(0.0, |acc, o| acc + o.weight);
+                Ok(MaxRsResult {
+                    center,
+                    total_weight: total,
+                    region: domain,
+                })
+            }
+            Some((negated_sum, x, y, from_tuple)) => {
+                let x = if from_tuple {
+                    // Widen the refined cell back to the full arrangement
+                    // cell of the domain slab (see `crate::sweep`).
+                    let hi = self
+                        .source
+                        .next_breakpoint(size, slab, x.lo, &NO_SUPPRESSION)?;
+                    Interval::new(x.lo, hi)
+                } else {
+                    x
+                };
+                let center = Point::new(
+                    x.representative().clamp(domain.x_lo, domain.x_hi),
+                    y.representative().clamp(domain.y_lo, domain.y_hi),
+                );
+                Ok(MaxRsResult {
+                    center,
+                    // `0.0 - x` rather than `-x`: an uncovered minimum is
+                    // +0.0, not the confusing "-0" a plain negation would
+                    // display (mirrors `min_rs_in_memory`).
+                    total_weight: 0.0 - negated_sum,
+                    region: Rect::new(x.lo, x.hi, y.lo, y.hi),
+                })
+            }
+        }
+    }
+
+    /// A degenerate domain — a point or a segment of admissible centers —
+    /// has no positive-area arrangement cell for the sweep to report.
+    /// Delegate to the in-memory reference after one scan: its 1D segment
+    /// sweep needs the stabbed intervals, whose count the EM model does not
+    /// bound by M.  Acceptable for this corner case, and exact parity with
+    /// `min_rs_in_memory` by construction.
+    fn run_degenerate_min_rs(&self, index: usize) -> Res<Vec<MemberOut>, S> {
+        let (size, domain) = match self.batch.queries[index] {
+            Query::MinRs { size, domain } => (size, domain),
+            _ => unreachable!("degenerate groups hold MinRS queries"),
+        };
+        let (answer, io) = self.measured(|| {
+            if self.source.num_objects() == 0 {
+                return Ok(uncovered(domain));
+            }
+            Ok(min_rs_in_memory(&self.source.objects()?, size, domain))
+        })?;
+        Ok(vec![MemberOut {
+            index,
+            answer: QueryAnswer::MinRs(answer),
+            io,
+        }])
     }
 }
 
-/// Executes a planned batch over an object file **already sorted by x** (the
-/// retained file of a [`PreparedDataset`](crate::PreparedDataset)): one
-/// kernel pass per sweep group, groups concurrent on the `parallel_map` pool
-/// when more than one group and more than one worker exist.  Reports I/O per
-/// query under the leader-attribution rule (module docs).
+/// The MinRS answer over no objects: the domain center, weight 0.
+fn uncovered(domain: Rect) -> MaxRsResult {
+    MaxRsResult {
+        center: domain.center(),
+        total_weight: 0.0,
+        region: domain,
+    }
+}
+
+/// One object file **already sorted by x** on one context — the retained
+/// file of a [`PreparedDataset`](crate::PreparedDataset), or the merged
+/// base + delta stream of a [`DeltaDataset`](crate::DeltaDataset).
+struct SortedFile<'a> {
+    ctx: &'a EmContext,
+    sorted: &'a TupleFile<ObjectRecord>,
+    /// Options of every pass; sequential when groups run concurrently.
+    opts: ExactMaxRsOptions,
+    workers: usize,
+    group_workers: usize,
+}
+
+impl SweepSource for SortedFile<'_> {
+    type Error = CoreError;
+
+    fn merge_ctx(&self) -> &EmContext {
+        self.ctx
+    }
+
+    fn num_objects(&self) -> u64 {
+        self.sorted.len()
+    }
+
+    fn slab_file(
+        &self,
+        size: RectSize,
+        weight_scale: f64,
+        root: Interval,
+        suppressed: &Suppression,
+    ) -> Result<TupleFile<SlabTuple>> {
+        SweepPass::presorted(self.ctx, &self.opts)
+            .with_weight_scale(weight_scale)
+            .with_root(root)
+            .with_suppressed(suppressed)
+            .slab_file(self.sorted, size)
+    }
+
+    fn next_breakpoint(
+        &self,
+        size: RectSize,
+        root: Interval,
+        after_x: f64,
+        suppressed: &Suppression,
+    ) -> Result<f64> {
+        next_breakpoint_after(self.ctx, self.sorted, size, root, after_x, suppressed)
+    }
+
+    fn candidate_sums(&self, candidates: &[Point], diameter: f64) -> Result<Vec<f64>> {
+        evaluate_candidates(self.ctx, self.sorted, candidates, diameter)
+    }
+
+    fn objects(&self) -> Result<Vec<WeightedPoint>> {
+        Ok(self
+            .ctx
+            .read_all(self.sorted)?
+            .iter()
+            .map(|r| r.0)
+            .collect())
+    }
+
+    fn io(&self) -> IoSnapshot {
+        self.ctx.stats()
+    }
+
+    fn group_workers(&self) -> usize {
+        self.group_workers
+    }
+
+    fn workers(&self) -> usize {
+        self.workers
+    }
+}
+
+/// Executes a planned batch over an object file **already sorted by x**:
+/// one kernel pass per sweep group, groups concurrent on the `parallel_map`
+/// pool when more than one group and more than one worker exist.
 pub(crate) fn run_batch_external(
     ctx: &EmContext,
     sorted: &TupleFile<ObjectRecord>,
@@ -257,396 +771,27 @@ pub(crate) fn run_batch_external(
     // sequential (see below), and every run of the batch reports the shared
     // batch-level strategy/worker count, not its group's inner sweep shape.
     let actual_workers = exact_opts.effective_parallelism(ctx.config());
-    let actual_strategy = if actual_workers > 1 {
-        ExecutionStrategy::ExternalParallel
-    } else {
-        ExecutionStrategy::ExternalSequential
-    };
-
     // With several groups and workers to spare, the groups — independent by
     // construction — run concurrently, each group's sweep sequential inside
     // its worker (the groups are the coarsest unit of parallel work, exactly
     // like the slab stage's children).  A single group keeps the full
     // parallel slab stage instead.
     let parallel_groups = actual_workers > 1 && batch.groups.len() > 1;
-    let outcomes: Vec<Result<Vec<MemberOut>>> = if parallel_groups {
-        let group_opts = ExactMaxRsOptions {
-            parallelism: 1,
+    let source = SortedFile {
+        ctx,
+        sorted,
+        opts: ExactMaxRsOptions {
+            parallelism: if parallel_groups {
+                1
+            } else {
+                exact_opts.parallelism
+            },
             ..exact_opts
-        };
-        parallel_map(
-            actual_workers.min(batch.groups.len()),
-            batch.groups.iter().collect(),
-            |_, group| run_group(ctx, sorted, group, batch, &group_opts, Meter::ThreadLocal),
-        )
-    } else {
-        batch
-            .groups
-            .iter()
-            .map(|group| run_group(ctx, sorted, group, batch, &exact_opts, Meter::GlobalDelta))
-            .collect()
+        },
+        workers: actual_workers,
+        group_workers: if parallel_groups { actual_workers } else { 1 },
     };
-
-    let mut runs: Vec<Option<QueryRun>> = batch.queries.iter().map(|_| None).collect();
-    for outcome in outcomes {
-        for m in outcome? {
-            runs[m.index] = Some(QueryRun {
-                answer: m.answer,
-                strategy: actual_strategy,
-                workers: actual_workers,
-                io: m.io,
-            });
-        }
-    }
-    Ok(runs
-        .into_iter()
-        .map(|r| r.expect("every query belongs to exactly one group"))
-        .collect())
-}
-
-fn run_group(
-    ctx: &EmContext,
-    sorted: &TupleFile<ObjectRecord>,
-    group: &SweepGroup,
-    batch: &QueryBatch,
-    opts: &ExactMaxRsOptions,
-    meter: Meter,
-) -> Result<Vec<MemberOut>> {
-    match group.kind {
-        GroupKind::Shared { size } => {
-            run_shared_group(ctx, sorted, size, &group.members, batch, opts, meter)
-        }
-        GroupKind::MinRs { size, slab } => {
-            run_min_rs_group(ctx, sorted, size, slab, &group.members, batch, opts, meter)
-        }
-        GroupKind::DegenerateMinRs => {
-            let index = group.members[0];
-            let (size, domain) = match batch.queries[index] {
-                Query::MinRs { size, domain } => (size, domain),
-                _ => unreachable!("degenerate groups hold MinRS queries"),
-            };
-            // A degenerate domain — a point or a segment of admissible
-            // centers — has no positive-area arrangement cell for the sweep
-            // to report.  Delegate to the in-memory reference after one scan:
-            // its 1D segment sweep needs the stabbed intervals, whose count
-            // the EM model does not bound by M.  Acceptable for this corner
-            // case, and exact parity with `min_rs_in_memory` by construction.
-            let (answer, io) = measured(ctx, meter, || {
-                if sorted.is_empty() {
-                    return Ok(MaxRsResult {
-                        center: domain.center(),
-                        total_weight: 0.0,
-                        region: domain,
-                    });
-                }
-                let records = ctx.read_all(sorted)?;
-                let points: Vec<WeightedPoint> = records.iter().map(|r| r.0).collect();
-                Ok(min_rs_in_memory(&points, size, domain))
-            })?;
-            Ok(vec![MemberOut {
-                index,
-                answer: QueryAnswer::MinRs(answer),
-                io,
-            }])
-        }
-    }
-}
-
-/// The positive-weight group: one MaxRS kernel pass shared by every member.
-fn run_shared_group(
-    ctx: &EmContext,
-    sorted: &TupleFile<ObjectRecord>,
-    size: RectSize,
-    members: &[usize],
-    batch: &QueryBatch,
-    opts: &ExactMaxRsOptions,
-    meter: Meter,
-) -> Result<Vec<MemberOut>> {
-    let queries = &batch.queries;
-    // Top-k rounds are shared up to the largest requested k; a batch of only
-    // `k = 0` top-k queries (and nothing else) never needs the pass at all.
-    let max_k = members
-        .iter()
-        .filter_map(|&i| match queries[i] {
-            Query::TopK { k, .. } => Some(k),
-            _ => None,
-        })
-        .max();
-    let needs_pass = members
-        .iter()
-        .any(|&i| !matches!(queries[i], Query::TopK { k, .. } if k == 0));
-    if !needs_pass || sorted.is_empty() {
-        // Mirror the per-query empty/trivial answers at zero incremental I/O.
-        return members
-            .iter()
-            .map(|&i| {
-                let answer = match queries[i] {
-                    Query::MaxRs { .. } => QueryAnswer::MaxRs(MaxRsResult::empty()),
-                    Query::TopK { .. } => QueryAnswer::TopK(Vec::new()),
-                    Query::ApproxMaxCrs { .. } => QueryAnswer::MaxCrs(MaxCrsResult::empty()),
-                    Query::MinRs { .. } => unreachable!("MinRS plans into its own group"),
-                };
-                Ok(MemberOut {
-                    index: i,
-                    answer,
-                    io: IoSnapshot::default(),
-                })
-            })
-            .collect();
-    }
-
-    let pass = SweepPass::presorted(ctx, opts);
-    // The shared phase: the full kernel pipeline once, charged to the leader.
-    let (best, shared_io) = measured(ctx, meter, || pass.max_rs(sorted, size))?;
-
-    // Shared top-k suppression rounds (round 1 is the shared best).
-    let (rounds, rounds_io) = match max_k {
-        Some(max_k) if max_k > 0 => measured(ctx, meter, || {
-            top_k_rounds(ctx, sorted, size, max_k, best, &pass)
-        })?,
-        _ => (Vec::new(), IoSnapshot::default()),
-    };
-
-    let mut out = Vec::with_capacity(members.len());
-    let mut shared_io = Some(shared_io);
-    let mut rounds_io = Some(rounds_io);
-    for &i in members {
-        let (answer, mut io) = match queries[i] {
-            Query::MaxRs { .. } => (QueryAnswer::MaxRs(best), IoSnapshot::default()),
-            Query::TopK { k, .. } => (
-                QueryAnswer::TopK(rounds[..k.min(rounds.len())].to_vec()),
-                // The shared rounds are charged to the first top-k member.
-                rounds_io.take().unwrap_or_default(),
-            ),
-            Query::ApproxMaxCrs { diameter, .. } => {
-                let sigma = queries[i]
-                    .sigma_fraction()
-                    .expect("approx variant has a sigma");
-                let (crs, refine_io) = measured(ctx, meter, || {
-                    refine_from_p0(ctx, sorted, best.center, diameter, sigma)
-                })?;
-                (QueryAnswer::MaxCrs(crs), refine_io)
-            }
-            Query::MinRs { .. } => unreachable!("MinRS plans into its own group"),
-        };
-        // The pass itself is charged to the group's first query.
-        io = io + shared_io.take().unwrap_or_default();
-        out.push(MemberOut {
-            index: i,
-            answer,
-            io,
-        });
-    }
-    Ok(out)
-}
-
-/// Greedy MaxkRS suppression rounds over the EM pipeline, with round 1
-/// supplied by the group's shared pass.
-///
-/// Each further round solves MaxRS on the remaining objects, then one
-/// transform-aware scan ([`EmContext::filter_map_file`]) suppresses the
-/// objects covered by the chosen placement — the external analogue of
-/// [`max_k_rs_in_memory`](crate::extensions::max_k_rs_in_memory)'s `retain`,
-/// and the same answers: round `r` sees exactly the objects the in-memory
-/// greedy sees, because canonical max-regions make every round's center
-/// strategy-independent.  The input is sorted by x and the suppression filter
-/// preserves that order, so *no* round pays an external sort.  Rounds do not
-/// depend on `k`, so one shared sequence serves every top-k member (each
-/// takes its prefix).
-fn top_k_rounds(
-    ctx: &EmContext,
-    objects: &TupleFile<ObjectRecord>,
-    size: RectSize,
-    max_k: usize,
-    first_best: MaxRsResult,
-    pass: &SweepPass<'_>,
-) -> Result<Vec<MaxRsResult>> {
-    // At most one placement per object exists, so a huge k must not
-    // pre-allocate k slots (mirrors `max_k_rs_in_memory`).
-    let mut results = Vec::with_capacity(max_k.min(objects.len() as usize));
-    let mut current: Option<TupleFile<ObjectRecord>> = None;
-    let mut rounds = || -> Result<()> {
-        for round in 0..max_k {
-            let remaining = current.as_ref().unwrap_or(objects);
-            if remaining.is_empty() {
-                break;
-            }
-            let best = if round == 0 {
-                first_best
-            } else {
-                pass.max_rs(remaining, size)?
-            };
-            if best.total_weight <= 0.0 {
-                break;
-            }
-            let chosen = Rect::centered_at(best.center, size);
-            let next = ctx.filter_map_file(remaining, |rec: ObjectRecord| {
-                if chosen.contains_open(&rec.0.point) {
-                    None
-                } else {
-                    Some(rec)
-                }
-            })?;
-            if let Some(f) = current.take() {
-                ctx.delete_file(f)?;
-            }
-            current = Some(next);
-            results.push(best);
-        }
-        Ok(())
-    };
-    let outcome = rounds();
-    // The last suppression file is a temporary either way.
-    if let Some(f) = current.take() {
-        let _ = ctx.delete_file(f);
-    }
-    outcome.map(|()| results)
-}
-
-/// The MinRS group: one weight-negated kernel pass over the shared domain
-/// x-slab, then one domain-clipped strip scan per member — streamed over the
-/// shared slab-file, exactly the scan
-/// [`min_rs_in_memory`](crate::extensions::min_rs_in_memory) performs over
-/// its in-memory tuple list.
-#[allow(clippy::too_many_arguments)]
-fn run_min_rs_group(
-    ctx: &EmContext,
-    sorted: &TupleFile<ObjectRecord>,
-    size: RectSize,
-    slab: Interval,
-    members: &[usize],
-    batch: &QueryBatch,
-    opts: &ExactMaxRsOptions,
-    meter: Meter,
-) -> Result<Vec<MemberOut>> {
-    let queries = &batch.queries;
-    let domain_of = |i: usize| match queries[i] {
-        Query::MinRs { domain, .. } => domain,
-        _ => unreachable!("MinRS groups hold MinRS queries"),
-    };
-    if sorted.is_empty() {
-        return Ok(members
-            .iter()
-            .map(|&i| {
-                let domain = domain_of(i);
-                MemberOut {
-                    index: i,
-                    answer: QueryAnswer::MinRs(MaxRsResult {
-                        center: domain.center(),
-                        total_weight: 0.0,
-                        region: domain,
-                    }),
-                    io: IoSnapshot::default(),
-                }
-            })
-            .collect());
-    }
-
-    let pass = SweepPass::presorted(ctx, opts)
-        .with_weight_scale(-1.0)
-        .with_root(slab);
-    // The shared phase — negated transform + sweep — charged to the leader.
-    let (slab_file, shared_io) = measured(ctx, meter, || pass.slab_file(sorted, size))?;
-
-    // Per-member strip scans over the shared slab-file.
-    let mut scans: Vec<(usize, Option<MinStrip>, IoSnapshot)> = Vec::with_capacity(members.len());
-    let mut scan_err = None;
-    for &i in members {
-        let domain = domain_of(i);
-        let scanned = measured(ctx, meter, || {
-            let mut reader = ctx.open_reader(&slab_file);
-            let tuples = std::iter::from_fn(|| match reader.next_record() {
-                Ok(Some(t)) => Some(Ok(t)),
-                Ok(None) => None,
-                Err(e) => Some(Err(e.into())),
-            });
-            min_strip_scan(tuples, slab, domain)
-        });
-        match scanned {
-            Ok((best, io)) => scans.push((i, best, io)),
-            Err(e) => {
-                scan_err = Some(e);
-                break;
-            }
-        }
-    }
-    // Delete the slab file before propagating a scan error so a failed query
-    // leaves no orphans on a long-lived context.
-    ctx.delete_file(slab_file)?;
-    if let Some(e) = scan_err {
-        return Err(e);
-    }
-
-    let mut out = Vec::with_capacity(scans.len());
-    let mut shared_io = Some(shared_io);
-    for (i, best, scan_io) in scans {
-        let domain = domain_of(i);
-        let (result, finalize_io) = measured(ctx, meter, || {
-            finalize_min_rs(ctx, sorted, size, slab, domain, best)
-        })?;
-        out.push(MemberOut {
-            index: i,
-            answer: QueryAnswer::MinRs(result),
-            io: scan_io + finalize_io + shared_io.take().unwrap_or_default(),
-        });
-    }
-    Ok(out)
-}
-
-/// Converts a member's winning strip into the canonical MinRS answer
-/// (widening sweep cells back to full arrangement cells of the domain slab).
-fn finalize_min_rs(
-    ctx: &EmContext,
-    objects: &TupleFile<ObjectRecord>,
-    size: RectSize,
-    slab: Interval,
-    domain: Rect,
-    best: Option<MinStrip>,
-) -> Result<MaxRsResult> {
-    match best {
-        None => {
-            // Unreachable for a non-degenerate domain (the strips partition
-            // the plane, so one of them clips to positive height), but kept
-            // as a defensive mirror of the in-memory fallback: evaluate the
-            // domain center directly with one scan of the object file.
-            let center = domain.center();
-            let query_rect = Rect::centered_at(center, size);
-            let mut total = 0.0;
-            let mut reader = ctx.open_reader(objects);
-            while let Some(rec) = reader.next_record()? {
-                if query_rect.contains_open(&rec.0.point) {
-                    total += rec.0.weight;
-                }
-            }
-            Ok(MaxRsResult {
-                center,
-                total_weight: total,
-                region: domain,
-            })
-        }
-        Some((negated_sum, x, y, from_tuple)) => {
-            let x = if from_tuple {
-                // Widen the refined cell back to the full arrangement cell of
-                // the domain slab (see `crate::sweep`, canonical max-regions).
-                let hi = next_breakpoint_after(ctx, objects, size, slab, x.lo)?;
-                Interval::new(x.lo, hi)
-            } else {
-                x
-            };
-            let center = Point::new(
-                x.representative().clamp(domain.x_lo, domain.x_hi),
-                y.representative().clamp(domain.y_lo, domain.y_hi),
-            );
-            Ok(MaxRsResult {
-                center,
-                // `0.0 - x` rather than `-x`: an uncovered minimum is +0.0,
-                // not the confusing "-0" a plain negation would display
-                // (mirrors `min_rs_in_memory`).
-                total_weight: 0.0 - negated_sum,
-                region: Rect::new(x.lo, x.hi, y.lo, y.hi),
-            })
-        }
-    }
+    batch.execute(&source)
 }
 
 #[cfg(test)]

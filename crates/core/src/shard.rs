@@ -19,10 +19,11 @@
 //!
 //! 1. every shard whose objects' rectangles can reach the query's root slab
 //!    is scanned (shard routing: a rect-size-inflated root selects the
-//!    shards touched), its transformed rectangles cropped against the shard
-//!    boundaries exactly like [`distribute`](crate::slab::distribute) —
-//!    end pieces go to the two end shards, fully-spanned shards receive a
-//!    [`SpanEvent`] pair instead of `O(K)` rectangle copies;
+//!    shards touched, see [`ShardMap`]), its transformed rectangles cropped
+//!    against the shard boundaries by the one cropping rule,
+//!    [`SlabPartition::crop`] — end pieces go to the two end shards,
+//!    fully-spanned shards receive a [`SpanEvent`] pair instead of `O(K)`
+//!    rectangle copies;
 //! 2. each shard solves its cropped rectangle file locally (the ordinary
 //!    recursion of [`crate::sweep`], running on the shard's own device);
 //! 3. the per-shard slab-files and the y-sorted spanning events merge
@@ -32,6 +33,11 @@
 //! 4. the winning tuple is widened to its full arrangement cell
 //!    (canonical max-regions, see [`crate::sweep`]) by taking the minimum
 //!    next-breakpoint over the shards.
+//!
+//! Only the pass is sharded.  The query variants themselves — top-k
+//! suppression rounds, MinRS strip scans, ApproxMaxCRS refinement — run in
+//! the one batch executor ([`crate::batch`]) over this dataset's
+//! [`SweepSource`] implementation, exactly as over an unsharded file.
 //!
 //! Because canonical max-regions are partition-independent, the answers are
 //! **bit-identical** to an unsharded [`PreparedDataset::run`] for every
@@ -62,22 +68,20 @@
 use std::path::PathBuf;
 
 use maxrs_em::{external_sort_by_key, EmContext, FsDisk, IoSnapshot, TupleFile, TupleWriter};
-use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
+use maxrs_geometry::{Interval, Point, RectSize, WeightedPoint};
 
-use crate::approx::{best_candidate, candidate_points, evaluate_candidates};
-use crate::batch::{GroupKind, MemberOut, QueryBatch};
-use crate::engine::{EngineOptions, ExecutionStrategy, MaxRsEngine};
+use crate::approx::evaluate_candidates;
+use crate::batch::{QueryBatch, SweepSource};
+use crate::engine::{EngineOptions, MaxRsEngine};
 use crate::error::Result;
 use crate::exact::{load_objects, sort_objects_by_x, ExactMaxRsOptions};
-use crate::extensions::{min_rs_in_memory, min_strip_scan, MinStrip};
 use crate::merge_sweep::merge_sweep_readers;
 use crate::parallel::{available_parallelism, parallel_map};
 use crate::prepared::PreparedDataset;
-use crate::query::{Query, QueryAnswer, QueryRun};
+use crate::query::{Query, QueryRun};
 use crate::records::{ObjectRecord, RectRecord, SlabTuple, SpanEvent};
-use crate::result::{MaxCrsResult, MaxRsResult};
 use crate::slab::SlabPartition;
-use crate::sweep::{extract_best, next_breakpoint_after, solve_rects};
+use crate::sweep::{next_breakpoint_after, solve_rects, Suppression};
 
 /// How a [`ShardedDataset`] is laid out: how many shards, where their block
 /// devices live, and how boundary selection samples the input.
@@ -133,13 +137,112 @@ impl ShardLayout {
     }
 }
 
-/// One shard: its prepared (x-sorted, externally stored) objects and the
-/// x-interval it owns.
+/// The x-partition of a sharded dataset and the routing of a sweep pass
+/// over it — shared by [`ShardedDataset`] and the cluster coordinator of
+/// `maxrs-cluster`, so local and remote shards route identically.
+///
+/// Shard `i` owns `[b_{i-1}, b_i)` (with `b_{-1} = -∞`, `b_{K-1} = +∞`);
+/// objects exactly on a boundary belong to the shard on its right, mirroring
+/// [`SlabPartition::locate`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardMap {
+    boundaries: Vec<f64>,
+}
+
+impl ShardMap {
+    /// The map of the given interior boundaries (strictly increasing, as
+    /// [`select_shard_boundaries`] produces them): `boundaries.len() + 1`
+    /// shards.
+    pub fn new(boundaries: Vec<f64>) -> Self {
+        ShardMap { boundaries }
+    }
+
+    /// The interior boundaries (`num_shards() - 1` values).
+    pub fn boundaries(&self) -> &[f64] {
+        &self.boundaries
+    }
+
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.boundaries.len() + 1
+    }
+
+    /// The shard an object at `x` belongs to.
+    pub fn shard_of(&self, x: f64) -> usize {
+        self.boundaries.partition_point(|&b| b <= x)
+    }
+
+    /// The x-interval shard `i` owns.
+    fn slab(&self, i: usize) -> Interval {
+        let lo = if i == 0 {
+            f64::NEG_INFINITY
+        } else {
+            self.boundaries[i - 1]
+        };
+        let hi = self.boundaries.get(i).copied().unwrap_or(f64::INFINITY);
+        Interval::new(lo, hi)
+    }
+
+    /// The shards `query`'s sweep pass engages: its root slab is unbounded
+    /// for MaxRS, top-k and ApproxMaxCRS (a circle's MBR), the domain's
+    /// x-interval for MinRS.
+    pub fn touched(&self, query: &Query) -> Vec<usize> {
+        match *query {
+            Query::MaxRs { size } | Query::TopK { size, .. } => {
+                self.engaged(size, Interval::UNBOUNDED)
+            }
+            Query::MinRs { size, domain } => {
+                self.engaged(size, Interval::new(domain.x_lo, domain.x_hi))
+            }
+            Query::ApproxMaxCrs { diameter, .. } => {
+                self.engaged(RectSize::square(diameter), Interval::UNBOUNDED)
+            }
+        }
+    }
+
+    /// The source shards whose objects' rectangles can reach `root`: shard
+    /// slab inflated by half the rectangle width, kept unless **strictly**
+    /// out of reach (degenerate touching stays in, so boundary ties are
+    /// routed exactly like the unsharded sweep clips them).
+    pub fn engaged(&self, size: RectSize, root: Interval) -> Vec<usize> {
+        let half = size.width / 2.0;
+        (0..self.num_shards())
+            .filter(|&i| {
+                let s = self.slab(i);
+                !(s.hi + half < root.lo || s.lo - half > root.hi)
+            })
+            .collect()
+    }
+
+    /// The top-level slab partition of a sharded sweep: the shard boundaries
+    /// that fall strictly inside `root`, with `root`'s own bounds as the
+    /// outer walls.  Every global slab is owned by exactly one shard.
+    pub fn clipped_partition(&self, root: Interval) -> SlabPartition {
+        let mut bounds = Vec::with_capacity(self.boundaries.len() + 2);
+        bounds.push(root.lo);
+        bounds.extend(
+            self.boundaries
+                .iter()
+                .filter(|&&b| b > root.lo && b < root.hi),
+        );
+        bounds.push(root.hi);
+        SlabPartition::new(bounds)
+    }
+
+    /// Which shard owns each global slab of `partition`.
+    pub fn slab_owners(&self, partition: &SlabPartition) -> Vec<usize> {
+        (0..partition.num_slabs())
+            .map(|t| {
+                self.shard_of(partition.boundaries[t])
+                    .min(self.num_shards() - 1)
+            })
+            .collect()
+    }
+}
+
+/// One shard: its prepared (x-sorted, externally stored) objects.
 struct Shard {
     data: PreparedDataset<'static>,
-    /// `[-∞, b₁)`, `[b₁, b₂)`, …, `[b_{K-1}, +∞)` — objects at a boundary
-    /// belong to the right shard, mirroring [`SlabPartition::locate`].
-    slab: Interval,
     prepare_io: IoSnapshot,
 }
 
@@ -161,8 +264,7 @@ struct SourceOut {
 /// guarantee.  Built by [`MaxRsEngine::prepare_sharded`].
 pub struct ShardedDataset {
     opts: EngineOptions,
-    /// Interior shard boundaries, strictly increasing (`num_shards - 1`).
-    boundaries: Vec<f64>,
+    map: ShardMap,
     shards: Vec<Shard>,
     /// Where spanning events and merged slab-files live: the cross-shard
     /// scratch device.
@@ -175,7 +277,7 @@ impl std::fmt::Debug for ShardedDataset {
         f.debug_struct("ShardedDataset")
             .field("len", &self.len)
             .field("shards", &self.shards.len())
-            .field("boundaries", &self.boundaries)
+            .field("boundaries", &self.map.boundaries)
             .finish_non_exhaustive()
     }
 }
@@ -207,16 +309,15 @@ impl ShardedDataset {
     ) -> Result<ShardedDataset> {
         let opts = *engine.options();
         let k = layout.shards.max(1);
-        let boundaries = select_shard_boundaries(objects, k, layout.boundary_sample);
-        let num = boundaries.len() + 1;
+        let map = ShardMap::new(select_shard_boundaries(objects, k, layout.boundary_sample));
+        let num = map.num_shards();
 
         // Route each object to its shard: x on a boundary goes right,
         // mirroring `SlabPartition::locate` (so cross-checks against the
         // sweep's own routing agree on ties).
         let mut parts: Vec<Vec<WeightedPoint>> = (0..num).map(|_| Vec::new()).collect();
         for o in objects {
-            let idx = boundaries.partition_point(|&b| b <= o.point.x);
-            parts[idx].push(*o);
+            parts[map.shard_of(o.point.x)].push(*o);
         }
 
         let workers = opts.exact.parallelism.max(1).min(num);
@@ -225,17 +326,13 @@ impl ShardedDataset {
         });
 
         let mut shards = Vec::with_capacity(num);
-        for (i, outcome) in built.into_iter().enumerate() {
+        for outcome in built {
             let (data, prepare_io) = outcome?;
-            shards.push(Shard {
-                data,
-                slab: shard_slab(&boundaries, i),
-                prepare_io,
-            });
+            shards.push(Shard { data, prepare_io });
         }
         Ok(ShardedDataset {
             opts,
-            boundaries,
+            map,
             shards,
             merge_ctx: EmContext::new(opts.em_config),
             len: objects.len() as u64,
@@ -262,7 +359,7 @@ impl ShardedDataset {
     /// The interior shard boundaries, strictly increasing
     /// (`num_shards() - 1` values; shard `i` owns `[b_{i-1}, b_i)`).
     pub fn boundaries(&self) -> &[f64] {
-        &self.boundaries
+        self.map.boundaries()
     }
 
     /// Object count per shard, in x-order — the balance the sampling pass
@@ -315,14 +412,7 @@ impl ShardedDataset {
     /// unbounded-root variants (MaxRS, top-k, ApproxMaxCRS), possibly fewer
     /// for MinRS over a narrow center domain.
     pub fn shards_touched(&self, query: &Query) -> usize {
-        let (size, root) = match *query {
-            Query::MaxRs { size } | Query::TopK { size, .. } => (size, Interval::UNBOUNDED),
-            Query::MinRs { size, domain } => (size, Interval::new(domain.x_lo, domain.x_hi)),
-            Query::ApproxMaxCrs { diameter, .. } => {
-                (RectSize::square(diameter), Interval::UNBOUNDED)
-            }
-        };
-        self.engaged_sources(size, root).len()
+        self.map.touched(query).len()
     }
 
     /// Answers one query — see [`run_batch`](ShardedDataset::run_batch).
@@ -338,45 +428,13 @@ impl ShardedDataset {
         self.run_planned(&QueryBatch::new(queries)?)
     }
 
-    /// Executes an already planned batch: groups run one after another (so
-    /// per-query I/O attribution uses plain counter deltas over all shard
-    /// devices), while **within** every sweep phase the shards run
-    /// concurrently on the [`parallel_map`] pool.
+    /// Executes an already planned batch through the batch executor
+    /// ([`QueryBatch::execute`]): groups run one after another (so per-query
+    /// I/O attribution uses plain counter deltas over all shard devices),
+    /// while **within** every sweep phase the shards run concurrently on the
+    /// [`parallel_map`] pool.
     pub fn run_planned(&self, batch: &QueryBatch) -> Result<Vec<QueryRun>> {
-        let workers = self.opts.exact.parallelism.max(1).min(self.shards.len());
-        let strategy = if workers > 1 {
-            ExecutionStrategy::ExternalParallel
-        } else {
-            ExecutionStrategy::ExternalSequential
-        };
-        let files = self.shard_files();
-
-        let mut runs: Vec<Option<QueryRun>> = batch.queries().iter().map(|_| None).collect();
-        for group in batch.groups() {
-            let outs = match group.kind {
-                GroupKind::Shared { size } => {
-                    self.run_shared_group(&files, size, &group.members, batch)?
-                }
-                GroupKind::MinRs { size, slab } => {
-                    self.run_min_rs_group(&files, size, slab, &group.members, batch)?
-                }
-                GroupKind::DegenerateMinRs => {
-                    self.run_degenerate_min_rs(&files, group.members[0], batch)?
-                }
-            };
-            for m in outs {
-                runs[m.index] = Some(QueryRun {
-                    answer: m.answer,
-                    strategy,
-                    workers,
-                    io: m.io,
-                });
-            }
-        }
-        Ok(runs
-            .into_iter()
-            .map(|r| r.expect("every query belongs to exactly one group"))
-            .collect())
+        batch.execute(self)
     }
 
     // ---- internals -------------------------------------------------------
@@ -397,169 +455,21 @@ impl ShardedDataset {
             .fold(self.merge_ctx.stats(), |acc, (ctx, _)| acc + ctx.stats())
     }
 
-    fn measured<R>(&self, f: impl FnOnce() -> Result<R>) -> Result<(R, IoSnapshot)> {
-        let before = self.stats_total();
-        let out = f()?;
-        Ok((out, self.stats_total().delta(&before)))
-    }
-
     fn phase_workers(&self, n: usize) -> usize {
         self.opts.exact.parallelism.max(1).min(n.max(1))
     }
 
-    /// The source shards whose objects' rectangles can reach `root`: shard
-    /// slab inflated by half the rectangle width, kept unless **strictly**
-    /// out of reach (degenerate touching stays in, so boundary ties are
-    /// routed exactly like the unsharded sweep clips them).
-    fn engaged_sources(&self, size: RectSize, root: Interval) -> Vec<usize> {
-        let half = size.width / 2.0;
-        (0..self.shards.len())
-            .filter(|&i| {
-                let s = self.shards[i].slab;
-                !(s.hi + half < root.lo || s.lo - half > root.hi)
-            })
-            .collect()
-    }
-
-    /// The top-level slab partition of a sharded sweep: the shard boundaries
-    /// that fall strictly inside `root`, with `root`'s own bounds as the
-    /// outer walls.  Every global slab is owned by exactly one shard.
-    fn clipped_partition(&self, root: Interval) -> SlabPartition {
-        let mut bounds = Vec::with_capacity(self.boundaries.len() + 2);
-        bounds.push(root.lo);
-        for &b in &self.boundaries {
-            if b > root.lo && b < root.hi {
-                bounds.push(b);
-            }
-        }
-        bounds.push(root.hi);
-        SlabPartition::new(bounds)
-    }
-
-    /// Which shard owns each global slab of `partition`.
-    fn slab_owners(&self, partition: &SlabPartition) -> Vec<usize> {
-        (0..partition.num_slabs())
-            .map(|t| {
-                self.boundaries
-                    .partition_point(|&b| b <= partition.boundaries[t])
-                    .min(self.shards.len() - 1)
-            })
-            .collect()
-    }
-
-    /// The sharded distribution sweep for one `(size, weight_scale, root)`
-    /// pass: distribute (per source shard, concurrent) → solve (per global
-    /// slab inside its owner shard, concurrent) → MergeSweep over per-shard
-    /// readers.  Returns the merged root slab-file on the merge context.
-    fn sharded_slab_file(
-        &self,
-        files: &[ShardFile<'_>],
-        size: RectSize,
-        weight_scale: f64,
-        root: Interval,
-    ) -> Result<TupleFile<SlabTuple>> {
-        let partition = self.clipped_partition(root);
-        let owners = self.slab_owners(&partition);
-        let m = partition.num_slabs();
-        let engaged = self.engaged_sources(size, root);
-
-        // Phase 1 — shard routing: every engaged source crops its rectangles
-        // against the global partition, writing end pieces into the owner
-        // shards' devices and span-event pairs onto the merge device.
-        let outs = parallel_map(self.phase_workers(engaged.len()), engaged, |_, s| {
-            self.distribute_source(files, s, &partition, &owners, size, weight_scale)
-        });
-        let mut sources: Vec<SourceOut> = Vec::with_capacity(outs.len());
-        let mut first_err = None;
-        for out in outs {
-            match out {
-                Ok(o) => sources.push(o),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        if let Some(e) = first_err {
-            for src in sources {
-                self.discard_source_out(files, &owners, src);
-            }
-            return Err(e);
-        }
-
-        // Phase 2 — per-shard solves: concatenate each global slab's pieces
-        // (fixed source order keeps the stream deterministic) and run the
-        // ordinary recursion inside the owner shard.
-        let slab_outs = parallel_map(self.phase_workers(m), (0..m).collect(), |_, t| {
-            self.solve_slab(files, &owners, &partition, t, &sources)
-        });
-        let mut slab_files: Vec<TupleFile<SlabTuple>> = Vec::with_capacity(m);
-        let mut first_err = None;
-        for out in slab_outs {
-            match out {
-                Ok(f) => slab_files.push(f),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        let spans = if first_err.is_none() {
-            match self.collect_spans(&sources) {
-                Ok(f) => Some(f),
-                Err(e) => {
-                    first_err = Some(e);
-                    None
-                }
-            }
-        } else {
-            for src in &sources {
-                if let Some(f) = &src.spans {
-                    let _ = self.merge_ctx.delete_file(f.clone());
-                }
-            }
-            None
-        };
-        if let Some(e) = first_err {
-            for (t, f) in slab_files.into_iter().enumerate() {
-                let _ = files[owners[t]].0.delete_file(f);
-            }
-            if let Some(f) = spans {
-                let _ = self.merge_ctx.delete_file(f);
-            }
-            return Err(e);
-        }
-        let spans = spans.expect("span file collected");
-
-        // Phase 3 — MergeSweep straight over per-shard readers: each reader
-        // borrows only the device its slab-file lives on.
-        let slabs = partition.slabs();
-        let readers = slab_files
-            .iter()
-            .enumerate()
-            .map(|(t, f)| files[owners[t]].0.open_reader(f))
-            .collect();
-        let span_reader = self.merge_ctx.open_reader(&spans);
-        let merged = merge_sweep_readers(&self.merge_ctx, readers, &slabs, span_reader);
-
-        for (t, f) in slab_files.into_iter().enumerate() {
-            let delete = files[owners[t]].0.delete_file(f);
-            if merged.is_ok() {
-                delete?;
-            }
-        }
-        let delete = self.merge_ctx.delete_file(spans);
-        if merged.is_ok() {
-            delete?;
-        }
-        merged
-    }
-
-    /// Phase 1 for one source shard: the exact cropping rule of
-    /// [`distribute`](crate::slab::distribute), streamed from the shard's
-    /// sorted objects with the transform fused in.
+    /// Phase 1 for one source shard: the cropping rule of
+    /// [`SlabPartition::crop`], streamed from the shard's sorted objects with
+    /// the transform (and the top-k suppression) fused in.
     fn distribute_source(
         &self,
         files: &[ShardFile<'_>],
         source: usize,
         partition: &SlabPartition,
         owners: &[usize],
-        size: RectSize,
-        weight_scale: f64,
+        (size, weight_scale): (RectSize, f64),
+        suppressed: &Suppression,
     ) -> Result<SourceOut> {
         let m = partition.num_slabs();
         let (src_ctx, src_file) = files[source];
@@ -569,50 +479,22 @@ impl ShardedDataset {
         let mut reader = src_ctx.open_reader(src_file);
         let body = (|| -> Result<()> {
             while let Some(rec) = reader.next_record()? {
+                if suppressed.covers(&rec.0.point) {
+                    continue;
+                }
                 let record = RectRecord::new(rec.0.to_rect(size), weight_scale * rec.0.weight);
-                let j = partition.locate(record.rect.x_lo);
-                let k = partition.locate(record.rect.x_hi);
-                if j == k {
-                    push_piece(files, owners, &mut writers, j, &record)?;
-                } else {
-                    let left = RectRecord::new(
-                        Rect::new(
-                            record.rect.x_lo,
-                            partition.boundaries[j + 1],
-                            record.rect.y_lo,
-                            record.rect.y_hi,
-                        ),
-                        record.weight,
-                    );
-                    push_piece(files, owners, &mut writers, j, &left)?;
-                    let right = RectRecord::new(
-                        Rect::new(
-                            partition.boundaries[k],
-                            record.rect.x_hi,
-                            record.rect.y_lo,
-                            record.rect.y_hi,
-                        ),
-                        record.weight,
-                    );
-                    push_piece(files, owners, &mut writers, k, &right)?;
-                    if k > j + 1 {
+                partition.crop(
+                    &record,
+                    |t, piece| push_piece(files, owners, &mut writers, t, piece),
+                    |pair| {
                         let writer = match span_writer.as_mut() {
                             Some(w) => w,
-                            None => {
-                                span_writer.insert(self.merge_ctx.create_writer::<SpanEvent>()?)
-                            }
+                            None => span_writer.insert(self.merge_ctx.create_writer()?),
                         };
-                        for e in SpanEvent::pair(
-                            record.rect.y_lo,
-                            record.rect.y_hi,
-                            record.weight,
-                            (j + 1) as u32,
-                            (k - 1) as u32,
-                        ) {
-                            writer.push(&e)?;
-                        }
-                    }
-                }
+                        pair.iter().try_for_each(|e| writer.push(e))?;
+                        Ok(())
+                    },
+                )?;
             }
             Ok(())
         })();
@@ -722,395 +604,176 @@ impl ShardedDataset {
         self.merge_ctx.delete_file(unsorted)?;
         Ok(sorted?)
     }
+}
 
-    /// The full sharded MaxRS pipeline over the given per-shard files:
-    /// sweep → extract → canonicalize, all temporaries deleted.
-    fn sharded_max_rs(&self, files: &[ShardFile<'_>], size: RectSize) -> Result<MaxRsResult> {
-        if files.iter().all(|(_, f)| f.is_empty()) {
-            return Ok(MaxRsResult::empty());
-        }
-        let merged = self.sharded_slab_file(files, size, 1.0, Interval::UNBOUNDED)?;
-        let result = extract_best(&self.merge_ctx, &merged);
-        self.merge_ctx.delete_file(merged)?;
-        self.canonicalize(files, size, Interval::UNBOUNDED, result?)
+impl SweepSource for ShardedDataset {
+    type Error = crate::error::CoreError;
+
+    fn merge_ctx(&self) -> &EmContext {
+        &self.merge_ctx
     }
 
-    /// Stage 4b of the kernel, sharded: the arrangement breakpoint after the
-    /// winning interval's lower bound is the **minimum** of the per-shard
-    /// breakpoints — each shard scans only its own objects, together exactly
-    /// the one-file scan of [`SweepPass::canonicalize`](crate::sweep::SweepPass).
-    fn canonicalize(
+    fn num_objects(&self) -> u64 {
+        self.len
+    }
+
+    /// The sharded distribution sweep for one `(size, weight_scale, root)`
+    /// pass: distribute (per source shard, concurrent) → solve (per global
+    /// slab inside its owner shard, concurrent) → MergeSweep over per-shard
+    /// readers.  Returns the merged root slab-file on the merge context.
+    fn slab_file(
         &self,
-        files: &[ShardFile<'_>],
+        size: RectSize,
+        weight_scale: f64,
+        root: Interval,
+        suppressed: &Suppression,
+    ) -> Result<TupleFile<SlabTuple>> {
+        let files = &self.shard_files()[..];
+        let partition = self.map.clipped_partition(root);
+        let owners = self.map.slab_owners(&partition);
+        let m = partition.num_slabs();
+        let engaged = self.map.engaged(size, root);
+
+        // Phase 1 — shard routing: every engaged source crops its rectangles
+        // against the global partition, writing end pieces into the owner
+        // shards' devices and span-event pairs onto the merge device.
+        let outs = parallel_map(self.phase_workers(engaged.len()), engaged, |_, s| {
+            self.distribute_source(
+                files,
+                s,
+                &partition,
+                &owners,
+                (size, weight_scale),
+                suppressed,
+            )
+        });
+        let mut sources: Vec<SourceOut> = Vec::with_capacity(outs.len());
+        let mut first_err = None;
+        for out in outs {
+            match out {
+                Ok(o) => sources.push(o),
+                Err(e) => first_err = first_err.or(Some(e)),
+            }
+        }
+        if let Some(e) = first_err {
+            for src in sources {
+                self.discard_source_out(files, &owners, src);
+            }
+            return Err(e);
+        }
+
+        // Phase 2 — per-shard solves: concatenate each global slab's pieces
+        // (fixed source order keeps the stream deterministic) and run the
+        // ordinary recursion inside the owner shard.
+        let slab_outs = parallel_map(self.phase_workers(m), (0..m).collect(), |_, t| {
+            self.solve_slab(files, &owners, &partition, t, &sources)
+        });
+        let mut slab_files: Vec<TupleFile<SlabTuple>> = Vec::with_capacity(m);
+        let mut first_err = None;
+        for out in slab_outs {
+            match out {
+                Ok(f) => slab_files.push(f),
+                Err(e) => first_err = first_err.or(Some(e)),
+            }
+        }
+        let spans = if first_err.is_none() {
+            match self.collect_spans(&sources) {
+                Ok(f) => Some(f),
+                Err(e) => {
+                    first_err = Some(e);
+                    None
+                }
+            }
+        } else {
+            for src in &sources {
+                if let Some(f) = &src.spans {
+                    let _ = self.merge_ctx.delete_file(f.clone());
+                }
+            }
+            None
+        };
+        if let Some(e) = first_err {
+            for (t, f) in slab_files.into_iter().enumerate() {
+                let _ = files[owners[t]].0.delete_file(f);
+            }
+            if let Some(f) = spans {
+                let _ = self.merge_ctx.delete_file(f);
+            }
+            return Err(e);
+        }
+        let spans = spans.expect("span file collected");
+
+        // Phase 3 — MergeSweep straight over per-shard readers: each reader
+        // borrows only the device its slab-file lives on.
+        let slabs = partition.slabs();
+        let readers = slab_files
+            .iter()
+            .enumerate()
+            .map(|(t, f)| files[owners[t]].0.open_reader(f))
+            .collect();
+        let span_reader = self.merge_ctx.open_reader(&spans);
+        let merged = merge_sweep_readers(&self.merge_ctx, readers, &slabs, span_reader);
+
+        for (t, f) in slab_files.into_iter().enumerate() {
+            let delete = files[owners[t]].0.delete_file(f);
+            if merged.is_ok() {
+                delete?;
+            }
+        }
+        let delete = self.merge_ctx.delete_file(spans);
+        if merged.is_ok() {
+            delete?;
+        }
+        merged
+    }
+
+    /// Each shard scans only its own objects; together exactly the one-file
+    /// scan of the unsharded canonicalization.
+    fn next_breakpoint(
+        &self,
         size: RectSize,
         root: Interval,
-        result: MaxRsResult,
-    ) -> Result<MaxRsResult> {
-        if !result.region.x_lo.is_finite() && !result.region.x_hi.is_finite() {
-            // The empty-dataset sentinel; nothing to widen.
-            return Ok(result);
-        }
+        after_x: f64,
+        suppressed: &Suppression,
+    ) -> Result<f64> {
         let mut hi = f64::INFINITY;
-        for &(ctx, file) in files {
+        for (ctx, file) in self.shard_files() {
             hi = hi.min(next_breakpoint_after(
-                ctx,
-                file,
-                size,
-                root,
-                result.region.x_lo,
+                ctx, file, size, root, after_x, suppressed,
             )?);
         }
-        let x = Interval::new(result.region.x_lo, hi);
-        Ok(MaxRsResult {
-            center: Point::new(x.representative(), result.center.y),
-            total_weight: result.total_weight,
-            region: Rect::new(x.lo, x.hi, result.region.y_lo, result.region.y_hi),
-        })
+        Ok(hi)
     }
 
-    /// The positive-weight group (MaxRS / top-k / ApproxMaxCRS of one size):
-    /// the sharded mirror of the batch executor's shared group, same sharing
-    /// and same leader I/O attribution.
-    fn run_shared_group(
-        &self,
-        files: &[ShardFile<'_>],
-        size: RectSize,
-        members: &[usize],
-        batch: &QueryBatch,
-    ) -> Result<Vec<MemberOut>> {
-        let queries = batch.queries();
-        let max_k = members
-            .iter()
-            .filter_map(|&i| match queries[i] {
-                Query::TopK { k, .. } => Some(k),
-                _ => None,
-            })
-            .max();
-        let needs_pass = members
-            .iter()
-            .any(|&i| !matches!(queries[i], Query::TopK { k, .. } if k == 0));
-        if !needs_pass || self.len == 0 {
-            return members
-                .iter()
-                .map(|&i| {
-                    let answer = match queries[i] {
-                        Query::MaxRs { .. } => QueryAnswer::MaxRs(MaxRsResult::empty()),
-                        Query::TopK { .. } => QueryAnswer::TopK(Vec::new()),
-                        Query::ApproxMaxCrs { .. } => QueryAnswer::MaxCrs(MaxCrsResult::empty()),
-                        Query::MinRs { .. } => unreachable!("MinRS plans into its own group"),
-                    };
-                    Ok(MemberOut {
-                        index: i,
-                        answer,
-                        io: IoSnapshot::default(),
-                    })
-                })
-                .collect();
-        }
-
-        let (best, shared_io) = self.measured(|| self.sharded_max_rs(files, size))?;
-        let (rounds, rounds_io) = match max_k {
-            Some(max_k) if max_k > 0 => {
-                self.measured(|| self.top_k_rounds(files, size, max_k, best))?
-            }
-            _ => (Vec::new(), IoSnapshot::default()),
-        };
-
-        let mut out = Vec::with_capacity(members.len());
-        let mut shared_io = Some(shared_io);
-        let mut rounds_io = Some(rounds_io);
-        for &i in members {
-            let (answer, mut io) = match queries[i] {
-                Query::MaxRs { .. } => (QueryAnswer::MaxRs(best), IoSnapshot::default()),
-                Query::TopK { k, .. } => (
-                    QueryAnswer::TopK(rounds[..k.min(rounds.len())].to_vec()),
-                    rounds_io.take().unwrap_or_default(),
-                ),
-                Query::ApproxMaxCrs { diameter, .. } => {
-                    let sigma = queries[i]
-                        .sigma_fraction()
-                        .expect("approx variant has a sigma");
-                    let (crs, refine_io) =
-                        self.measured(|| self.refine_crs(files, best.center, diameter, sigma))?;
-                    (QueryAnswer::MaxCrs(crs), refine_io)
-                }
-                Query::MinRs { .. } => unreachable!("MinRS plans into its own group"),
-            };
-            io = io + shared_io.take().unwrap_or_default();
-            out.push(MemberOut {
-                index: i,
-                answer,
-                io,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Steps 2–3 of ApproxMaxCRS over the shards: each shard scans its own
-    /// objects for the five candidates' partial sums, accumulated in shard
-    /// (= x) order so the stream matches the unsharded single-file scan.
-    fn refine_crs(
-        &self,
-        files: &[ShardFile<'_>],
-        p0: Point,
-        diameter: f64,
-        sigma_fraction: f64,
-    ) -> Result<MaxCrsResult> {
-        let candidates = candidate_points(p0, diameter, sigma_fraction);
+    fn candidate_sums(&self, candidates: &[Point], diameter: f64) -> Result<Vec<f64>> {
         let mut totals = vec![0.0f64; candidates.len()];
-        for &(ctx, file) in files {
-            let sums = evaluate_candidates(ctx, file, &candidates, diameter)?;
+        for (ctx, file) in self.shard_files() {
+            let sums = evaluate_candidates(ctx, file, candidates, diameter)?;
             for (t, s) in totals.iter_mut().zip(sums) {
                 *t += s;
             }
         }
-        Ok(best_candidate(&candidates, &totals))
+        Ok(totals)
     }
 
-    /// Greedy top-k suppression rounds, sharded: the per-round filter runs on
-    /// each shard's file (preserving per-shard x-order and the shard routing
-    /// itself), the per-round MaxRS is the full sharded pipeline — the same
-    /// rounds as the unsharded executor, shard-parallel.
-    fn top_k_rounds(
-        &self,
-        files: &[ShardFile<'_>],
-        size: RectSize,
-        max_k: usize,
-        first_best: MaxRsResult,
-    ) -> Result<Vec<MaxRsResult>> {
-        let mut results = Vec::with_capacity(max_k.min(self.len as usize));
-        let mut current: Option<Vec<TupleFile<ObjectRecord>>> = None;
-        let outcome =
-            self.top_k_rounds_inner(files, size, max_k, first_best, &mut results, &mut current);
-        // The last suppression files are temporaries either way.
-        if let Some(fs) = current.take() {
-            for (&(ctx, _), f) in files.iter().zip(fs) {
-                let _ = ctx.delete_file(f);
-            }
+    fn objects(&self) -> Result<Vec<WeightedPoint>> {
+        let mut points = Vec::with_capacity(self.len as usize);
+        for (ctx, file) in self.shard_files() {
+            points.extend(ctx.read_all(file)?.iter().map(|r| r.0));
         }
-        outcome.map(|()| results)
+        Ok(points)
     }
 
-    fn top_k_rounds_inner(
-        &self,
-        files: &[ShardFile<'_>],
-        size: RectSize,
-        max_k: usize,
-        first_best: MaxRsResult,
-        results: &mut Vec<MaxRsResult>,
-        current: &mut Option<Vec<TupleFile<ObjectRecord>>>,
-    ) -> Result<()> {
-        for round in 0..max_k {
-            let remaining: Vec<ShardFile<'_>> = match current {
-                Some(fs) => files
-                    .iter()
-                    .zip(fs.iter())
-                    .map(|(&(ctx, _), f)| (ctx, f))
-                    .collect(),
-                None => files.to_vec(),
-            };
-            if remaining.iter().all(|(_, f)| f.is_empty()) {
-                break;
-            }
-            let best = if round == 0 {
-                first_best
-            } else {
-                self.sharded_max_rs(&remaining, size)?
-            };
-            if best.total_weight <= 0.0 {
-                break;
-            }
-            let chosen = Rect::centered_at(best.center, size);
-            let mut next = Vec::with_capacity(files.len());
-            for &(ctx, f) in &remaining {
-                next.push(ctx.filter_map_file(f, |rec: ObjectRecord| {
-                    if chosen.contains_open(&rec.0.point) {
-                        None
-                    } else {
-                        Some(rec)
-                    }
-                })?);
-            }
-            if let Some(fs) = current.take() {
-                for (&(ctx, _), f) in files.iter().zip(fs) {
-                    ctx.delete_file(f)?;
-                }
-            }
-            *current = Some(next);
-            results.push(best);
-        }
-        Ok(())
+    fn io(&self) -> IoSnapshot {
+        self.stats_total()
     }
 
-    /// The MinRS group, sharded: one weight-negated pass with the domain
-    /// x-slab as root (only the shards it touches participate), then the
-    /// same per-member strip scans and canonical finalization as the batch
-    /// executor.
-    fn run_min_rs_group(
-        &self,
-        files: &[ShardFile<'_>],
-        size: RectSize,
-        slab: Interval,
-        members: &[usize],
-        batch: &QueryBatch,
-    ) -> Result<Vec<MemberOut>> {
-        let queries = batch.queries();
-        let domain_of = |i: usize| match queries[i] {
-            Query::MinRs { domain, .. } => domain,
-            _ => unreachable!("MinRS groups hold MinRS queries"),
-        };
-        if self.len == 0 {
-            return Ok(members
-                .iter()
-                .map(|&i| {
-                    let domain = domain_of(i);
-                    MemberOut {
-                        index: i,
-                        answer: QueryAnswer::MinRs(MaxRsResult {
-                            center: domain.center(),
-                            total_weight: 0.0,
-                            region: domain,
-                        }),
-                        io: IoSnapshot::default(),
-                    }
-                })
-                .collect());
-        }
-
-        let (slab_file, shared_io) =
-            self.measured(|| self.sharded_slab_file(files, size, -1.0, slab))?;
-
-        let mut scans: Vec<(usize, Option<MinStrip>, IoSnapshot)> =
-            Vec::with_capacity(members.len());
-        let mut scan_err = None;
-        for &i in members {
-            let domain = domain_of(i);
-            let scanned = self.measured(|| {
-                let mut reader = self.merge_ctx.open_reader(&slab_file);
-                let tuples = std::iter::from_fn(|| match reader.next_record() {
-                    Ok(Some(t)) => Some(Ok(t)),
-                    Ok(None) => None,
-                    Err(e) => Some(Err(e.into())),
-                });
-                min_strip_scan(tuples, slab, domain)
-            });
-            match scanned {
-                Ok((best, io)) => scans.push((i, best, io)),
-                Err(e) => {
-                    scan_err = Some(e);
-                    break;
-                }
-            }
-        }
-        self.merge_ctx.delete_file(slab_file)?;
-        if let Some(e) = scan_err {
-            return Err(e);
-        }
-
-        let mut out = Vec::with_capacity(scans.len());
-        let mut shared_io = Some(shared_io);
-        for (i, best, scan_io) in scans {
-            let domain = domain_of(i);
-            let (result, finalize_io) =
-                self.measured(|| self.finalize_min_rs(files, size, slab, domain, best))?;
-            out.push(MemberOut {
-                index: i,
-                answer: QueryAnswer::MinRs(result),
-                io: scan_io + finalize_io + shared_io.take().unwrap_or_default(),
-            });
-        }
-        Ok(out)
+    fn group_workers(&self) -> usize {
+        1
     }
 
-    /// The sharded mirror of the batch executor's MinRS finalization, with
-    /// the breakpoint widening taking the minimum over the shards.
-    fn finalize_min_rs(
-        &self,
-        files: &[ShardFile<'_>],
-        size: RectSize,
-        slab: Interval,
-        domain: Rect,
-        best: Option<MinStrip>,
-    ) -> Result<MaxRsResult> {
-        match best {
-            None => {
-                // Defensive mirror of the in-memory fallback: evaluate the
-                // domain center directly with one scan per shard.
-                let center = domain.center();
-                let query_rect = Rect::centered_at(center, size);
-                let mut total = 0.0;
-                for &(ctx, file) in files {
-                    let mut reader = ctx.open_reader(file);
-                    while let Some(rec) = reader.next_record()? {
-                        if query_rect.contains_open(&rec.0.point) {
-                            total += rec.0.weight;
-                        }
-                    }
-                }
-                Ok(MaxRsResult {
-                    center,
-                    total_weight: total,
-                    region: domain,
-                })
-            }
-            Some((negated_sum, x, y, from_tuple)) => {
-                let x = if from_tuple {
-                    let mut hi = f64::INFINITY;
-                    for &(ctx, file) in files {
-                        hi = hi.min(next_breakpoint_after(ctx, file, size, slab, x.lo)?);
-                    }
-                    Interval::new(x.lo, hi)
-                } else {
-                    x
-                };
-                let center = Point::new(
-                    x.representative().clamp(domain.x_lo, domain.x_hi),
-                    y.representative().clamp(domain.y_lo, domain.y_hi),
-                );
-                Ok(MaxRsResult {
-                    center,
-                    // `0.0 - x` so an uncovered minimum reports +0.0 (mirrors
-                    // `min_rs_in_memory`).
-                    total_weight: 0.0 - negated_sum,
-                    region: Rect::new(x.lo, x.hi, y.lo, y.hi),
-                })
-            }
-        }
-    }
-
-    /// Degenerate-domain MinRS: concatenate the shards' records in shard
-    /// (= x) order and delegate to the in-memory reference, exactly like the
-    /// unsharded executor's one-scan delegate.
-    fn run_degenerate_min_rs(
-        &self,
-        files: &[ShardFile<'_>],
-        index: usize,
-        batch: &QueryBatch,
-    ) -> Result<Vec<MemberOut>> {
-        let (size, domain) = match batch.queries()[index] {
-            Query::MinRs { size, domain } => (size, domain),
-            _ => unreachable!("degenerate groups hold MinRS queries"),
-        };
-        let (answer, io) = self.measured(|| {
-            if self.len == 0 {
-                return Ok(MaxRsResult {
-                    center: domain.center(),
-                    total_weight: 0.0,
-                    region: domain,
-                });
-            }
-            let mut points: Vec<WeightedPoint> = Vec::with_capacity(self.len as usize);
-            for &(ctx, file) in files {
-                let records = ctx.read_all(file)?;
-                points.extend(records.iter().map(|r| r.0));
-            }
-            Ok(min_rs_in_memory(&points, size, domain))
-        })?;
-        Ok(vec![MemberOut {
-            index,
-            answer: QueryAnswer::MinRs(answer),
-            io,
-        }])
+    fn workers(&self) -> usize {
+        self.phase_workers(self.shards.len())
     }
 }
 
@@ -1181,24 +844,6 @@ pub fn prepare_shard(
     ))
 }
 
-/// The x-interval shard `i` owns, given the interior boundaries: shard 0
-/// owns `(-∞, b₁)`, the last shard `[b_{K-1}, +∞)`, and objects exactly on a
-/// boundary belong to the shard on its right (mirroring
-/// [`SlabPartition::locate`]).
-pub fn shard_slab(boundaries: &[f64], i: usize) -> Interval {
-    let lo = if i == 0 {
-        f64::NEG_INFINITY
-    } else {
-        boundaries[i - 1]
-    };
-    let hi = if i == boundaries.len() {
-        f64::INFINITY
-    } else {
-        boundaries[i]
-    };
-    Interval::new(lo, hi)
-}
-
 /// Picks up to `k - 1` strictly increasing interior boundaries from the
 /// x-quantiles of a deterministic sample, so the shards hold roughly equal
 /// object counts even on skewed inputs.  Datasets within the sampling cap
@@ -1255,7 +900,10 @@ pub fn select_shard_boundaries(objects: &[WeightedPoint], k: usize, sample_cap: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::QueryAnswer;
+    use crate::result::{MaxCrsResult, MaxRsResult};
     use maxrs_em::EmConfig;
+    use maxrs_geometry::Rect;
 
     fn small_engine() -> MaxRsEngine {
         MaxRsEngine::with_options(EngineOptions {

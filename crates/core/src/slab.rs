@@ -57,6 +57,48 @@ impl SlabPartition {
         let idx = self.boundaries.partition_point(|&b| b <= x);
         idx.saturating_sub(1).min(n - 1)
     }
+
+    /// The cropping rule of the distribution sweep, applied to one rectangle.
+    ///
+    /// * A rectangle entirely inside one sub-slab goes to `piece` whole.
+    /// * A rectangle crossing boundaries is cut: the piece containing its
+    ///   left (right) edge goes to `piece` with the slab of that edge, and the
+    ///   fully spanned slabs in between become one [`SpanEvent`] pair passed
+    ///   to `span`.
+    ///
+    /// Every distribution — one recursion node, one shard-routed pass, one
+    /// cluster server's half of it — crops through this method, which is
+    /// what makes their slab-files agree.
+    pub fn crop<E>(
+        &self,
+        rec: &RectRecord,
+        mut piece: impl FnMut(usize, &RectRecord) -> std::result::Result<(), E>,
+        mut span: impl FnMut([SpanEvent; 2]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let j = self.locate(rec.rect.x_lo);
+        let k = self.locate(rec.rect.x_hi);
+        if j == k {
+            return piece(j, rec);
+        }
+        let (y_lo, y_hi) = (rec.rect.y_lo, rec.rect.y_hi);
+        // Left piece: from the left edge to the right boundary of slab j.
+        let left = Rect::new(rec.rect.x_lo, self.boundaries[j + 1], y_lo, y_hi);
+        piece(j, &RectRecord::new(left, rec.weight))?;
+        // Right piece: from the left boundary of slab k to the right edge.
+        let right = Rect::new(self.boundaries[k], rec.rect.x_hi, y_lo, y_hi);
+        piece(k, &RectRecord::new(right, rec.weight))?;
+        // Fully spanned slabs in between.
+        if k > j + 1 {
+            span(SpanEvent::pair(
+                y_lo,
+                y_hi,
+                rec.weight,
+                (j + 1) as u32,
+                (k - 1) as u32,
+            ))?;
+        }
+        Ok(())
+    }
 }
 
 /// How slab boundaries are derived from the input file.
@@ -162,12 +204,9 @@ pub struct Distribution {
     pub span_events: TupleFile<SpanEvent>,
 }
 
-/// Routes every rectangle of `file` into the sub-slabs of `partition`.
-///
-/// * A rectangle entirely inside one sub-slab goes to that slab's file.
-/// * A rectangle crossing boundaries is cut: the piece containing its left
-///   (right) edge goes to the slab of that edge, and the fully spanned slabs
-///   in between are recorded as a pair of [`SpanEvent`]s.
+/// Routes every rectangle of `file` into the sub-slabs of `partition`
+/// through [`SlabPartition::crop`]: pieces go to their slab's file, spanning
+/// parts become [`SpanEvent`] pairs.
 ///
 /// The spanning events are sorted by y before being returned so that
 /// MergeSweep can consume them in sweep order.
@@ -185,40 +224,11 @@ pub fn distribute(
 
     let mut reader = ctx.open_reader(file);
     while let Some(rec) = reader.next_record()? {
-        let j = partition.locate(rec.rect.x_lo);
-        let k = partition.locate(rec.rect.x_hi);
-        if j == k {
-            slab_writers[j].push(&rec)?;
-            continue;
-        }
-        // Left piece: from the left edge to the right boundary of slab j.
-        let left = Rect::new(
-            rec.rect.x_lo,
-            partition.boundaries[j + 1],
-            rec.rect.y_lo,
-            rec.rect.y_hi,
-        );
-        slab_writers[j].push(&RectRecord::new(left, rec.weight))?;
-        // Right piece: from the left boundary of slab k to the right edge.
-        let right = Rect::new(
-            partition.boundaries[k],
-            rec.rect.x_hi,
-            rec.rect.y_lo,
-            rec.rect.y_hi,
-        );
-        slab_writers[k].push(&RectRecord::new(right, rec.weight))?;
-        // Fully spanned slabs in between.
-        if k > j + 1 {
-            for ev in SpanEvent::pair(
-                rec.rect.y_lo,
-                rec.rect.y_hi,
-                rec.weight,
-                (j + 1) as u32,
-                (k - 1) as u32,
-            ) {
-                span_writer.push(&ev)?;
-            }
-        }
+        partition.crop(
+            &rec,
+            |t, piece| slab_writers[t].push(piece),
+            |pair| pair.iter().try_for_each(|e| span_writer.push(e)),
+        )?;
     }
 
     let slab_inputs: Vec<TupleFile<RectRecord>> = slab_writers
