@@ -33,10 +33,10 @@ use std::time::Duration;
 
 use maxrs_core::{
     merge_sweep, parallel_map, EngineOptions, ObjectRecord, Query, QueryBatch, QueryRun, ShardMap,
-    SlabTuple, SpanEvent, Suppression, SweepSource,
+    SlabTuple, SpanEvent, SweepSource,
 };
 use maxrs_em::{external_sort_by_key, EmContext, IoSnapshot, TupleFile};
-use maxrs_geometry::{Interval, Point, RectSize, WeightedPoint};
+use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
 
 use crate::error::{ClusterError, Result};
 use crate::protocol::{PassSpec, PieceSet, Request, Response};
@@ -488,7 +488,7 @@ impl SweepSource for ClusterPass<'_> {
         size: RectSize,
         weight_scale: f64,
         root: Interval,
-        suppressed: &Suppression,
+        suppressed: &[Rect],
     ) -> Result<TupleFile<SlabTuple>> {
         let (c, agg) = (self.cluster, &self.remote);
         let partition = c.map.clipped_partition(root);
@@ -503,7 +503,7 @@ impl SweepSource for ClusterPass<'_> {
             bounds: partition.boundaries.clone(),
             owners: owners.iter().map(|&o| o as u32).collect(),
             engaged: engaged.iter().map(|&s| s as u32).collect(),
-            suppressed: suppressed.rects().to_vec(),
+            suppressed: suppressed.to_vec(),
         };
 
         // Round 1 — distribute: spans and cross-server piece exports.
@@ -617,13 +617,13 @@ impl SweepSource for ClusterPass<'_> {
         size: RectSize,
         root: Interval,
         after_x: f64,
-        suppressed: &Suppression,
+        suppressed: &[Rect],
     ) -> Result<f64> {
         let request = Request::Breakpoint {
             size,
             root,
             after_x,
-            suppressed: suppressed.rects().to_vec(),
+            suppressed: suppressed.to_vec(),
         };
         let mut hi = f64::INFINITY;
         for response in self.ask_all(&request)? {
@@ -636,7 +636,8 @@ impl SweepSource for ClusterPass<'_> {
     }
 
     /// Per-shard sums accumulated in shard order, the order of the
-    /// single-machine scan.
+    /// single-machine scan.  Only the shards `0..K` of the topology checked
+    /// at connect are read; a reply's other shard ids are ignored.
     fn candidate_sums(&self, candidates: &[Point], diameter: f64) -> Result<Vec<f64>> {
         let request = Request::Evaluate {
             candidates: candidates.to_vec(),
@@ -650,15 +651,18 @@ impl SweepSource for ClusterPass<'_> {
             per_shard.extend(sums);
         }
         let mut totals = vec![0.0f64; candidates.len()];
-        for sums in per_shard.values() {
-            for (t, s) in totals.iter_mut().zip(sums) {
-                *t += s;
+        for shard in 0..self.cluster.shards.len() as u32 {
+            if let Some(sums) = per_shard.get(&shard) {
+                for (t, s) in totals.iter_mut().zip(sums) {
+                    *t += s;
+                }
             }
         }
         Ok(totals)
     }
 
-    /// Every shard's objects concatenated in shard order.
+    /// Every shard's objects concatenated in shard order, shards `0..K`
+    /// only (as for [`candidate_sums`](SweepSource::candidate_sums)).
     fn objects(&self) -> Result<Vec<WeightedPoint>> {
         let mut per_shard: BTreeMap<u32, Vec<ObjectRecord>> = BTreeMap::new();
         for response in self.ask_all(&Request::FetchObjects)? {
@@ -667,7 +671,11 @@ impl SweepSource for ClusterPass<'_> {
             };
             per_shard.extend(objects);
         }
-        Ok(per_shard.into_values().flatten().map(|r| r.0).collect())
+        Ok((0..self.cluster.shards.len() as u32)
+            .filter_map(|shard| per_shard.remove(&shard))
+            .flatten()
+            .map(|r| r.0)
+            .collect())
     }
 
     fn io(&self) -> IoSnapshot {

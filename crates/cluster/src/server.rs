@@ -9,7 +9,7 @@
 //! Every handler runs the corresponding phase of the single-machine
 //! [`ShardedDataset`](maxrs_core::ShardedDataset) on the shards this server
 //! hosts: the one cropping rule ([`SlabPartition::crop`]), the same piece
-//! ordering, the same suppression-skipping scans ([`Suppression`]).  That
+//! ordering, the same suppression-skipping scans.  That
 //! is what makes the coordinator's merged answers bit-identical to the
 //! unsharded sweep.
 
@@ -21,7 +21,7 @@ use maxrs_core::shard::prepare_shard;
 use maxrs_core::sweep::{next_breakpoint_after, solve_rects};
 use maxrs_core::{
     evaluate_candidates, EngineOptions, ExactMaxRsOptions, PreparedDataset, RectRecord,
-    Result as CoreResult, SlabPartition, SpanEvent, Suppression,
+    Result as CoreResult, SlabPartition, SpanEvent,
 };
 use maxrs_em::{EmContext, IoSnapshot};
 use maxrs_geometry::{Rect, WeightedPoint};
@@ -176,11 +176,14 @@ impl ShardServer {
         mut piece: impl FnMut(usize, &RectRecord),
         mut span: impl FnMut([SpanEvent; 2]),
     ) -> CoreResult<()> {
-        let suppressed = Suppression::new(pass.suppressed.clone());
         let (ctx, file) = h.data.external_parts().expect("shards are external");
         let mut reader = ctx.open_reader(file);
         while let Some(rec) = reader.next_record()? {
-            if suppressed.covers(&rec.0.point) {
+            if pass
+                .suppressed
+                .iter()
+                .any(|r| r.contains_open(&rec.0.point))
+            {
                 continue;
             }
             let record =
@@ -374,17 +377,11 @@ impl ShardServer {
         after_x: f64,
         suppressed: &[Rect],
     ) -> CoreResult<Response> {
-        let suppressed = Suppression::new(suppressed.to_vec());
         let mut hi = f64::INFINITY;
         for h in &self.hosted {
             let (ctx, file) = h.data.external_parts().expect("shards are external");
             hi = hi.min(next_breakpoint_after(
-                ctx,
-                file,
-                size,
-                root,
-                after_x,
-                &suppressed,
+                ctx, file, size, root, after_x, suppressed,
             )?);
         }
         Ok(Response::Breakpoint {

@@ -14,9 +14,9 @@ use maxrs_cluster::{
     FaultInjectedTransport, InProcessTransport, InjectedFault, Request, Response, ShardHealth,
     ShardServer, TcpTransport, Transport, TransportError,
 };
-use maxrs_core::{EngineOptions, ExactMaxRsOptions, MaxRsEngine, Query};
+use maxrs_core::{EngineOptions, ExactMaxRsOptions, MaxRsEngine, ObjectRecord, Query};
 use maxrs_em::EmConfig;
-use maxrs_geometry::{RectSize, WeightedPoint};
+use maxrs_geometry::{Rect, RectSize, WeightedPoint};
 
 fn objects(n: usize, seed: u64) -> Vec<WeightedPoint> {
     let mut state = seed.max(1);
@@ -414,4 +414,66 @@ fn topology_violations_are_rejected_at_connect() {
         matches!(err, ClusterError::Topology { ref detail } if detail.contains("boundaries")),
         "got {err:?}"
     );
+}
+
+/// Wraps a healthy server and appends a reply entry for a shard id outside
+/// the connected topology to every Evaluate and FetchObjects reply — a
+/// stale or misbehaving server.
+struct StrayShardTransport {
+    inner: InProcessTransport,
+}
+
+impl Transport for StrayShardTransport {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn call(&self, request: &Request, timeout: Duration) -> Result<Response, TransportError> {
+        let mut response = self.inner.call(request, timeout)?;
+        match &mut response {
+            Response::Evaluated { sums, .. } => {
+                let n = sums.first().map_or(0, |(_, s)| s.len());
+                sums.push((99, vec![1.0e6; n]));
+            }
+            Response::Objects { objects, .. } => {
+                // A heavy object every 50 units along x = 500: every
+                // placement of a degenerate MinRS query there would cover one.
+                let stray = (0..=20)
+                    .map(|i| ObjectRecord(WeightedPoint::at(500.0, i as f64 * 50.0, 1.0e6)))
+                    .collect();
+                objects.push((99, stray));
+            }
+            _ => {}
+        }
+        Ok(response)
+    }
+}
+
+#[test]
+fn reply_entries_for_unknown_shards_are_ignored() {
+    let data = objects(800, 31);
+    let prepared = MaxRsEngine::with_options(opts()).prepare(&data).unwrap();
+    let mut servers = two_servers(&data).into_iter();
+    let alpha = servers.next().unwrap();
+    let beta = servers.next().unwrap();
+    let transports: Vec<Box<dyn Transport>> = vec![
+        Box::new(InProcessTransport::new("alpha", Arc::new(alpha))),
+        Box::new(StrayShardTransport {
+            inner: InProcessTransport::new("beta", Arc::new(beta)),
+        }),
+    ];
+    let cluster = ClusterCoordinator::connect(opts(), fast_config(), transports).unwrap();
+
+    // ApproxMaxCRS reads the Evaluate sums; a degenerate-domain MinRS reads
+    // every object through FetchObjects.
+    for query in [
+        Query::approx_max_crs(120.0),
+        Query::min_rs(RectSize::square(60.0), Rect::new(500.0, 500.0, 0.0, 1000.0)),
+    ] {
+        assert_eq!(
+            cluster.run(&query).unwrap().answer,
+            prepared.run(&query).unwrap().answer,
+            "{query:?}"
+        );
+    }
 }

@@ -31,9 +31,9 @@
 //! [`SweepPass`]; [`ShardedDataset`](crate::ShardedDataset) runs its
 //! concurrent shard-routed pass; `maxrs-cluster`'s coordinator runs the
 //! distribute/solve protocol against its servers.  Top-k suppression has
-//! one form everywhere: the list of chosen rectangles ([`Suppression`]),
-//! which every scan of a later round's pass skips — no filtered object file
-//! is ever written.
+//! one form everywhere: the list of chosen rectangles, whose interiors
+//! every scan of a later round's pass skips — no filtered object file is
+//! ever written.
 //!
 //! On the single file, independent groups execute concurrently on the
 //! [`parallel_map`] worker pool; the sharded
@@ -64,10 +64,7 @@ use crate::parallel::parallel_map;
 use crate::query::{Query, QueryAnswer, QueryRun};
 use crate::records::{ObjectRecord, SlabTuple};
 use crate::result::{MaxCrsResult, MaxRsResult};
-use crate::sweep::{
-    extract_best, next_breakpoint_after, widen_to_breakpoint, Suppression, SweepPass,
-    NO_SUPPRESSION,
-};
+use crate::sweep::{extract_best, next_breakpoint_after, widen_to_breakpoint, SweepPass};
 
 /// A validated slice of queries planned into shared sweep groups.
 ///
@@ -239,7 +236,7 @@ pub trait SweepSource: Sync {
         size: RectSize,
         weight_scale: f64,
         root: Interval,
-        suppressed: &Suppression,
+        suppressed: &[Rect],
     ) -> std::result::Result<TupleFile<SlabTuple>, Self::Error>;
 
     /// The minimum over the data of
@@ -249,7 +246,7 @@ pub trait SweepSource: Sync {
         size: RectSize,
         root: Interval,
         after_x: f64,
-        suppressed: &Suppression,
+        suppressed: &[Rect],
     ) -> std::result::Result<f64, Self::Error>;
 
     /// The open-disk weight sum of every candidate
@@ -375,7 +372,7 @@ impl<S: SweepSource> Executor<'_, S> {
 
     /// The full MaxRS pipeline over the unsuppressed objects: sweep →
     /// extract → canonicalize, the merged slab-file deleted.
-    fn max_rs(&self, size: RectSize, suppressed: &Suppression) -> Res<MaxRsResult, S> {
+    fn max_rs(&self, size: RectSize, suppressed: &[Rect]) -> Res<MaxRsResult, S> {
         let ctx = self.source.merge_ctx();
         let merged = self
             .source
@@ -425,7 +422,7 @@ impl<S: SweepSource> Executor<'_, S> {
 
         // The shared phase: the full kernel pipeline once, charged to the
         // leader.
-        let (best, shared_io) = self.measured(|| self.max_rs(size, &NO_SUPPRESSION))?;
+        let (best, shared_io) = self.measured(|| self.max_rs(size, &[]))?;
         // Shared top-k suppression rounds (round 1 is the shared best).
         let (rounds, rounds_io) = match max_k {
             Some(max_k) if max_k > 0 => self.measured(|| self.top_k_rounds(size, max_k, best))?,
@@ -473,7 +470,7 @@ impl<S: SweepSource> Executor<'_, S> {
     ///
     /// Each further round solves MaxRS over the objects outside every
     /// placement chosen so far: the rounds' passes skip them in their scans
-    /// ([`Suppression`]) — the external analogue of
+    /// ([`SweepPass::with_suppressed`]) — the external analogue of
     /// [`max_k_rs_in_memory`](crate::extensions::max_k_rs_in_memory)'s
     /// `retain`, with the same answers, because canonical max-regions make
     /// every round's center layout-independent.  Rounds do not depend on
@@ -488,7 +485,7 @@ impl<S: SweepSource> Executor<'_, S> {
         // At most one placement per object exists, so a huge k must not
         // pre-allocate k slots (mirrors `max_k_rs_in_memory`).
         let mut results = Vec::with_capacity(max_k.min(self.source.num_objects() as usize));
-        let mut suppressed = Suppression::default();
+        let mut suppressed: Vec<Rect> = Vec::new();
         for round in 0..max_k {
             let best = if round == 0 {
                 first_best
@@ -535,7 +532,7 @@ impl<S: SweepSource> Executor<'_, S> {
         // The shared phase — negated transform + sweep — charged to the
         // leader.
         let (slab_file, shared_io) =
-            self.measured(|| self.source.slab_file(size, -1.0, slab, &NO_SUPPRESSION))?;
+            self.measured(|| self.source.slab_file(size, -1.0, slab, &[]))?;
 
         // Per-member strip scans over the shared slab-file.
         let mut scans: Vec<(usize, Option<MinStrip>, IoSnapshot)> =
@@ -614,9 +611,7 @@ impl<S: SweepSource> Executor<'_, S> {
                 let x = if from_tuple {
                     // Widen the refined cell back to the full arrangement
                     // cell of the domain slab (see `crate::sweep`).
-                    let hi = self
-                        .source
-                        .next_breakpoint(size, slab, x.lo, &NO_SUPPRESSION)?;
+                    let hi = self.source.next_breakpoint(size, slab, x.lo, &[])?;
                     Interval::new(x.lo, hi)
                 } else {
                     x
@@ -699,7 +694,7 @@ impl SweepSource for SortedFile<'_> {
         size: RectSize,
         weight_scale: f64,
         root: Interval,
-        suppressed: &Suppression,
+        suppressed: &[Rect],
     ) -> Result<TupleFile<SlabTuple>> {
         SweepPass::presorted(self.ctx, &self.opts)
             .with_weight_scale(weight_scale)
@@ -713,7 +708,7 @@ impl SweepSource for SortedFile<'_> {
         size: RectSize,
         root: Interval,
         after_x: f64,
-        suppressed: &Suppression,
+        suppressed: &[Rect],
     ) -> Result<f64> {
         next_breakpoint_after(self.ctx, self.sorted, size, root, after_x, suppressed)
     }

@@ -156,6 +156,5 @@ pub use segment_tree::SegmentTree;
 pub use shard::{prepare_shard, select_shard_boundaries, ShardLayout, ShardMap, ShardedDataset};
 pub use slab::{compute_partition, distribute, BoundarySource, Distribution, SlabPartition};
 pub use sweep::{
-    extract_best, next_breakpoint_after, solve_rects, transform_to_rect_file,
-    transform_to_scaled_rect_file, InputOrder, Suppression, SweepPass,
+    extract_best, next_breakpoint_after, solve_rects, transform_to_rect_file, InputOrder, SweepPass,
 };

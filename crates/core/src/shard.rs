@@ -68,7 +68,7 @@
 use std::path::PathBuf;
 
 use maxrs_em::{external_sort_by_key, EmContext, FsDisk, IoSnapshot, TupleFile, TupleWriter};
-use maxrs_geometry::{Interval, Point, RectSize, WeightedPoint};
+use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
 
 use crate::approx::evaluate_candidates;
 use crate::batch::{QueryBatch, SweepSource};
@@ -81,7 +81,7 @@ use crate::prepared::PreparedDataset;
 use crate::query::{Query, QueryRun};
 use crate::records::{ObjectRecord, RectRecord, SlabTuple, SpanEvent};
 use crate::slab::SlabPartition;
-use crate::sweep::{next_breakpoint_after, solve_rects, Suppression};
+use crate::sweep::{next_breakpoint_after, solve_rects};
 
 /// How a [`ShardedDataset`] is laid out: how many shards, where their block
 /// devices live, and how boundary selection samples the input.
@@ -469,7 +469,7 @@ impl ShardedDataset {
         partition: &SlabPartition,
         owners: &[usize],
         (size, weight_scale): (RectSize, f64),
-        suppressed: &Suppression,
+        suppressed: &[Rect],
     ) -> Result<SourceOut> {
         let m = partition.num_slabs();
         let (src_ctx, src_file) = files[source];
@@ -479,7 +479,7 @@ impl ShardedDataset {
         let mut reader = src_ctx.open_reader(src_file);
         let body = (|| -> Result<()> {
             while let Some(rec) = reader.next_record()? {
-                if suppressed.covers(&rec.0.point) {
+                if suppressed.iter().any(|r| r.contains_open(&rec.0.point)) {
                     continue;
                 }
                 let record = RectRecord::new(rec.0.to_rect(size), weight_scale * rec.0.weight);
@@ -626,7 +626,7 @@ impl SweepSource for ShardedDataset {
         size: RectSize,
         weight_scale: f64,
         root: Interval,
-        suppressed: &Suppression,
+        suppressed: &[Rect],
     ) -> Result<TupleFile<SlabTuple>> {
         let files = &self.shard_files()[..];
         let partition = self.map.clipped_partition(root);
@@ -734,7 +734,7 @@ impl SweepSource for ShardedDataset {
         size: RectSize,
         root: Interval,
         after_x: f64,
-        suppressed: &Suppression,
+        suppressed: &[Rect],
     ) -> Result<f64> {
         let mut hi = f64::INFINITY;
         for (ctx, file) in self.shard_files() {

@@ -101,7 +101,7 @@ pub struct SweepPass<'a> {
     order: InputOrder,
     weight_scale: f64,
     root: Interval,
-    suppressed: &'a Suppression,
+    suppressed: &'a [Rect],
 }
 
 impl<'a> SweepPass<'a> {
@@ -114,7 +114,7 @@ impl<'a> SweepPass<'a> {
             order: InputOrder::Unsorted,
             weight_scale: 1.0,
             root: Interval::UNBOUNDED,
-            suppressed: &NO_SUPPRESSION,
+            suppressed: &[],
         }
     }
 
@@ -149,10 +149,11 @@ impl<'a> SweepPass<'a> {
         self
     }
 
-    /// Skips every object strictly inside one of `suppressed`'s rectangles in
-    /// the transform and canonicalization scans — the top-k suppression of
-    /// later rounds, applied without writing a filtered object file.
-    pub fn with_suppressed(mut self, suppressed: &'a Suppression) -> Self {
+    /// Skips every object strictly inside one of the `suppressed` rectangles
+    /// in the transform and canonicalization scans — the top-k suppression
+    /// of later rounds (the placements chosen so far), applied without
+    /// writing a filtered object file.
+    pub fn with_suppressed(mut self, suppressed: &'a [Rect]) -> Self {
         self.suppressed = suppressed;
         self
     }
@@ -184,7 +185,8 @@ impl<'a> SweepPass<'a> {
     ) -> Result<TupleFile<RectRecord>> {
         self.ctx
             .filter_map_file(objects, |rec: ObjectRecord| {
-                (!self.suppressed.covers(&rec.0.point))
+                let p = rec.0.point;
+                (!self.suppressed.iter().any(|r| r.contains_open(&p)))
                     .then(|| RectRecord::new(rec.0.to_rect(size), self.weight_scale * rec.0.weight))
             })
             .map_err(CoreError::from)
@@ -291,27 +293,14 @@ pub fn transform_to_rect_file(
     objects: &TupleFile<ObjectRecord>,
     size: RectSize,
 ) -> Result<TupleFile<RectRecord>> {
-    transform_to_scaled_rect_file(ctx, objects, size, 1.0)
-}
-
-/// [`transform_to_rect_file`] with every weight multiplied by `weight_scale`
-/// during the scan (`-1.0` is the MinRS reduction).
-pub fn transform_to_scaled_rect_file(
-    ctx: &EmContext,
-    objects: &TupleFile<ObjectRecord>,
-    size: RectSize,
-    weight_scale: f64,
-) -> Result<TupleFile<RectRecord>> {
-    ctx.map_file(objects, |rec: ObjectRecord| {
-        RectRecord::new(rec.0.to_rect(size), weight_scale * rec.0.weight)
-    })
-    .map_err(CoreError::from)
+    SweepPass::new(ctx, &ExactMaxRsOptions::default()).transform(objects, size)
 }
 
 /// The smallest x-arrangement breakpoint strictly greater than `x`: the edge
 /// of a transformed rectangle (clipped to `slab`) or the slab's upper bound,
 /// whichever comes first; `+∞` when nothing lies beyond `x`.  Objects
-/// covered by `suppressed` take no part (see [`Suppression`]).
+/// strictly inside a `suppressed` rectangle take no part (see
+/// [`SweepPass::with_suppressed`]).
 ///
 /// These breakpoints are exactly the leaf boundaries of the in-memory plane
 /// sweep over `slab` (see [`crate::plane_sweep::plane_sweep_slab`]), computed
@@ -325,7 +314,7 @@ pub fn next_breakpoint_after(
     size: RectSize,
     slab: Interval,
     x: f64,
-    suppressed: &Suppression,
+    suppressed: &[Rect],
 ) -> Result<f64> {
     let mut best = f64::INFINITY;
     if slab.hi > x {
@@ -333,7 +322,7 @@ pub fn next_breakpoint_after(
     }
     let mut reader = ctx.open_reader(objects);
     while let Some(rec) = reader.next_record()? {
-        if suppressed.covers(&rec.0.point) {
+        if suppressed.iter().any(|r| r.contains_open(&rec.0.point)) {
             continue;
         }
         if let Some(clipped) = rec.0.to_rect(size).clip_x(&slab) {
@@ -345,80 +334,6 @@ pub fn next_breakpoint_after(
         }
     }
     Ok(best)
-}
-
-/// The top-k suppression set: the placements chosen by earlier greedy
-/// rounds.  An object strictly inside any of them is skipped by every scan
-/// of a later round's pass, exactly as if it had been deleted — the
-/// external analogue of
-/// [`max_k_rs_in_memory`](crate::extensions::max_k_rs_in_memory)'s `retain`,
-/// without ever writing a filtered object file.
-///
-/// The rectangles are kept sorted by `(x_lo, x_hi)`.  When they share one
-/// width (every round of a top-k query places the query rectangle), `x_hi`
-/// is then sorted too, so the rectangles whose open x-interval holds a
-/// point form one contiguous run found by two binary searches, and
-/// [`covers`](Suppression::covers) tests only that run.  A set whose `x_hi`
-/// is not sorted falls back to testing every rectangle.
-///
-/// ```
-/// use maxrs_core::Suppression;
-/// use maxrs_geometry::{Point, Rect};
-///
-/// let chosen = Suppression::new(vec![Rect::new(0.0, 2.0, 0.0, 2.0), Rect::new(1.0, 3.0, 5.0, 7.0)]);
-/// assert!(chosen.covers(&Point::new(1.5, 6.0)));
-/// assert!(!chosen.covers(&Point::new(2.0, 1.0))); // on an edge: not strictly inside
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Suppression {
-    rects: Vec<Rect>,
-    /// `true` when `x_hi` is *not* non-decreasing in the sorted order, so
-    /// the candidate run cannot be bounded from the left.
-    hi_unsorted: bool,
-}
-
-/// The empty set: a pass that suppresses nothing.
-pub(crate) static NO_SUPPRESSION: Suppression = Suppression {
-    rects: Vec::new(),
-    hi_unsorted: false,
-};
-
-impl Suppression {
-    /// A suppression set over `rects`, in any order.
-    pub fn new(mut rects: Vec<Rect>) -> Self {
-        rects.sort_by(|a, b| a.x_lo.total_cmp(&b.x_lo).then(a.x_hi.total_cmp(&b.x_hi)));
-        let hi_unsorted = rects.windows(2).any(|w| w[0].x_hi > w[1].x_hi);
-        Suppression { rects, hi_unsorted }
-    }
-
-    /// Adds one chosen placement.
-    pub fn push(&mut self, rect: Rect) {
-        let mut rects = std::mem::take(&mut self.rects);
-        rects.push(rect);
-        *self = Suppression::new(rects);
-    }
-
-    /// The chosen rectangles, sorted by `(x_lo, x_hi)`.
-    pub fn rects(&self) -> &[Rect] {
-        &self.rects
-    }
-
-    /// `true` when `p` lies strictly inside any chosen rectangle — the same
-    /// answer as `rects().iter().any(|r| r.contains_open(p))`.
-    pub fn covers(&self, p: &Point) -> bool {
-        if self.rects.is_empty() {
-            return false;
-        }
-        // Rectangles with x_lo < p.x form a prefix of the sorted order.
-        let end = self.rects.partition_point(|r| r.x_lo < p.x);
-        let start = if self.hi_unsorted {
-            0
-        } else {
-            // ... and, with x_hi sorted too, those with x_hi <= p.x a prefix.
-            self.rects[..end].partition_point(|r| r.x_hi <= p.x)
-        };
-        self.rects[start..end].iter().any(|r| r.contains_open(p))
-    }
 }
 
 /// Runs the distribution-sweep recursion over an **already distributed**

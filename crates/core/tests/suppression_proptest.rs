@@ -1,96 +1,67 @@
-//! Property tests for the top-k suppression lookup: [`Suppression::covers`]
-//! tests only the run of chosen rectangles whose x-interval can hold the
-//! point, and must answer exactly like the linear scan
-//! `rects.iter().any(|r| r.contains_open(p))` it replaces — on points that
-//! sit on rectangle edges and corners, under heavily overlapping and
-//! duplicated rectangles, and (through the fallback) for rectangles of
-//! mixed widths.
+//! Property tests for top-k suppression: a pass that skips the objects
+//! strictly inside the chosen rectangles ([`SweepPass::with_suppressed`])
+//! answers exactly like the same pass over a file from which those objects
+//! were filtered — for the transform, the full MaxRS pipeline and the
+//! canonicalization breakpoint.  Objects on a grid put many of them exactly
+//! on rectangle edges and corners, where they must *not* be suppressed, and
+//! chosen rectangles may overlap or repeat.
 
-use maxrs_core::Suppression;
-use maxrs_geometry::{Point, Rect, RectSize};
+use maxrs_core::{load_objects, next_breakpoint_after, ExactMaxRsOptions, SweepPass};
+use maxrs_em::{EmConfig, EmContext};
+use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
 use proptest::prelude::*;
 
-/// Probe points on a half-unit grid: with integer centers and integer
-/// sizes every rectangle edge lies on this grid, so many probes sit exactly
-/// on edges and corners.
-fn probes() -> impl Strategy<Value = Vec<Point>> {
-    prop::collection::vec((0u32..48, 0u32..48), 1..60).prop_map(|v| {
+/// Objects on a half-unit grid: with integer centers and integer sizes every
+/// chosen rectangle's edge lies on this grid.
+fn objects() -> impl Strategy<Value = Vec<WeightedPoint>> {
+    prop::collection::vec((0u32..48, 0u32..48, 1u32..4), 1..120).prop_map(|v| {
         v.into_iter()
-            .map(|(x, y)| Point::new(x as f64 * 0.5, y as f64 * 0.5))
+            .map(|(x, y, w)| WeightedPoint::at(x as f64 * 0.5, y as f64 * 0.5, w as f64))
             .collect()
     })
 }
 
-fn assert_matches_linear_scan(rects: &[Rect], points: &[Point]) {
-    let suppression = Suppression::new(rects.to_vec());
-    assert_eq!(suppression.rects().len(), rects.len());
-    for p in points {
-        assert_eq!(
-            suppression.covers(p),
-            rects.iter().any(|r| r.contains_open(p)),
-            "point {p:?} against {rects:?}"
-        );
-    }
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// One shared size, as in every top-k query: the sorted fast path.
     #[test]
-    fn same_size_lookup_equals_the_linear_scan(
-        centers in prop::collection::vec((0u32..24, 0u32..24), 0..40),
+    fn skipping_suppressed_objects_equals_filtering_them(
+        data in objects(),
+        centers in prop::collection::vec((0u32..24, 0u32..24), 0..12),
         wh in (1u32..9, 1u32..9),
-        points in probes(),
+        after_x in 0u32..48,
     ) {
         let size = RectSize::new(wh.0 as f64, wh.1 as f64);
-        let rects: Vec<Rect> = centers
+        let chosen: Vec<Rect> = centers
             .iter()
             .map(|&(x, y)| Rect::centered_at(Point::new(x as f64, y as f64), size))
             .collect();
-        assert_matches_linear_scan(&rects, &points);
-
-        // Built incrementally, round by round, the set answers the same.
-        let mut incremental = Suppression::default();
-        for r in &rects {
-            incremental.push(*r);
-        }
-        prop_assert_eq!(incremental, Suppression::new(rects.clone()));
-    }
-
-    /// Mixed widths break the sorted-`x_hi` invariant; the lookup must fall
-    /// back rather than miss a rectangle.
-    #[test]
-    fn mixed_size_lookup_equals_the_linear_scan(
-        specs in prop::collection::vec((0u32..24, 0u32..24, 1u32..12, 1u32..12), 0..40),
-        points in probes(),
-    ) {
-        let rects: Vec<Rect> = specs
+        let kept: Vec<WeightedPoint> = data
             .iter()
-            .map(|&(x, y, w, h)| {
-                Rect::centered_at(Point::new(x as f64, y as f64), RectSize::new(w as f64, h as f64))
-            })
+            .copied()
+            .filter(|o| !chosen.iter().any(|r| r.contains_open(&o.point)))
             .collect();
-        assert_matches_linear_scan(&rects, &points);
-    }
-}
 
-#[test]
-fn nested_and_duplicate_rectangles() {
-    let rects = vec![
-        Rect::new(0.0, 10.0, 0.0, 10.0),
-        Rect::new(0.0, 10.0, 0.0, 10.0),
-        Rect::new(2.0, 4.0, 2.0, 4.0),
-        Rect::new(9.0, 19.0, 20.0, 30.0),
-    ];
-    let points = [
-        Point::new(0.0, 5.0),   // left edge
-        Point::new(10.0, 5.0),  // right edge of two, outside the third
-        Point::new(9.5, 5.0),   // inside the wide pair only
-        Point::new(9.5, 25.0),  // inside the last only
-        Point::new(3.0, 3.0),   // inside the nested one and the pair
-        Point::new(19.0, 25.0), // right edge of the last
-    ];
-    assert_matches_linear_scan(&rects, &points);
-    assert!(!Suppression::default().covers(&Point::new(1.0, 1.0)));
+        let ctx = EmContext::new(EmConfig::new(512, 16 * 512).unwrap());
+        let all_file = load_objects(&ctx, &data).unwrap();
+        let kept_file = load_objects(&ctx, &kept).unwrap();
+        let opts = ExactMaxRsOptions::default();
+        let skipping = SweepPass::new(&ctx, &opts).with_suppressed(&chosen);
+        let plain = SweepPass::new(&ctx, &opts);
+
+        let skipped = skipping.transform(&all_file, size).unwrap();
+        let filtered = plain.transform(&kept_file, size).unwrap();
+        prop_assert_eq!(ctx.read_all(&skipped).unwrap(), ctx.read_all(&filtered).unwrap());
+
+        prop_assert_eq!(
+            skipping.max_rs(&all_file, size).unwrap(),
+            plain.max_rs(&kept_file, size).unwrap()
+        );
+
+        let x = after_x as f64 * 0.5;
+        prop_assert_eq!(
+            next_breakpoint_after(&ctx, &all_file, size, Interval::UNBOUNDED, x, &chosen).unwrap(),
+            next_breakpoint_after(&ctx, &kept_file, size, Interval::UNBOUNDED, x, &[]).unwrap()
+        );
+    }
 }
