@@ -4,8 +4,8 @@ use std::time::Instant;
 
 use maxrs_baselines::{asb_tree_sweep, naive_sweep, Algorithm};
 use maxrs_core::{
-    exact_max_rs, load_objects, EngineOptions, EngineRun, ExactMaxRsOptions, MaxRsEngine,
-    MaxRsResult, Query, QueryBatch, QueryRun,
+    exact_max_rs, load_objects, max_k_rs_in_memory, EngineOptions, EngineRun, ExactMaxRsOptions,
+    MaxRsEngine, MaxRsResult, Query, QueryAnswer, QueryBatch, QueryRun,
 };
 use maxrs_em::{EmConfig, EmContext, IoSnapshot};
 use maxrs_geometry::{RectSize, WeightedPoint};
@@ -229,7 +229,9 @@ pub struct BatchRun {
     /// Per-query I/O attribution of the batch (leader-attributed shared
     /// passes; sums to `batch_io`).
     pub per_query_io: Vec<IoSnapshot>,
-    /// Whether every batched answer was bit-identical to its independent run.
+    /// Whether every batched answer was bit-identical to its independent run,
+    /// and every top-k answer to the in-memory greedy
+    /// ([`max_k_rs_in_memory`]).
     pub verified: bool,
 }
 
@@ -324,10 +326,21 @@ pub fn run_query_batch(
     let independent_ns = t.elapsed().as_nanos();
     let independent_io = ctx.stats().delta(&before);
 
+    // Batched and per-query runs share one executor, so top-k answers are
+    // also checked against the independent in-memory greedy.
     let verified = batched
         .iter()
         .zip(&independent)
-        .all(|(b, s)| b.answer == s.answer);
+        .zip(queries)
+        .all(|((b, s), q)| {
+            b.answer == s.answer
+                && match *q {
+                    Query::TopK { size, k } => {
+                        b.answer == QueryAnswer::TopK(max_k_rs_in_memory(objects, size, k))
+                    }
+                    _ => true,
+                }
+        });
     Ok(BatchRun {
         backend: ctx.backend_name().to_string(),
         n: file.len(),

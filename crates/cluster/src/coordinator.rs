@@ -32,8 +32,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use maxrs_core::{
-    merge_sweep, parallel_map, EngineOptions, ObjectRecord, Query, QueryBatch, QueryRun, ShardMap,
-    SlabTuple, SpanEvent, SweepSource,
+    merge_sweep, merge_sweep_bests, parallel_map, EngineOptions, ObjectRecord, Query, QueryBatch,
+    QueryRun, ShardMap, SlabBest, SlabTuple, SpanEvent, SweepSource,
 };
 use maxrs_em::{external_sort_by_key, EmContext, IoSnapshot, TupleFile};
 use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
@@ -480,16 +480,130 @@ impl SweepSource for ClusterPass<'_> {
         self.cluster.len
     }
 
-    /// The two-round distribute/solve protocol (see [`crate::protocol`])
-    /// plus the canonical [`merge_sweep`] on the coordinator's merge device:
-    /// exactly the file the single-machine sharded pass produces.
-    fn slab_file(
+    /// The per-slab bests of the canonical merge over the solved slabs.
+    fn slab_bests(
         &self,
         size: RectSize,
-        weight_scale: f64,
         root: Interval,
         suppressed: &[Rect],
-    ) -> Result<TupleFile<SlabTuple>> {
+    ) -> Result<Vec<SlabBest>> {
+        let ctx = &self.cluster.merge_ctx;
+        self.pass((size, 1.0), root, suppressed, |files, slabs, spans| {
+            merge_sweep_bests(ctx, files, slabs, spans)
+        })
+    }
+
+    /// The canonical [`merge_sweep`] over the solved slabs: exactly the file
+    /// the single-machine sharded pass produces.
+    fn negated_slab_file(&self, size: RectSize, root: Interval) -> Result<TupleFile<SlabTuple>> {
+        let ctx = &self.cluster.merge_ctx;
+        self.pass((size, -1.0), root, &[], |files, slabs, spans| {
+            merge_sweep(ctx, files, slabs, spans)
+        })
+    }
+
+    /// Every server reports the minimum over its hosted shards; the
+    /// coordinator takes the minimum across servers, in each direction.
+    fn next_edges(
+        &self,
+        size: RectSize,
+        root: Interval,
+        after: Point,
+        suppressed: &[Rect],
+    ) -> Result<(f64, f64)> {
+        let request = Request::Breakpoint {
+            size,
+            root,
+            after_x: after.x,
+            after_y: after.y,
+            suppressed: suppressed.to_vec(),
+        };
+        let (mut hi, mut next_y) = (f64::INFINITY, f64::INFINITY);
+        for response in self.ask_all(&request)? {
+            let Response::Breakpoint {
+                hi: x, next_y: y, ..
+            } = response
+            else {
+                return Err(wrong_reply("Breakpoint"));
+            };
+            hi = hi.min(x);
+            next_y = next_y.min(y);
+        }
+        Ok((hi, next_y))
+    }
+
+    /// Per-shard sums accumulated in shard order, the order of the
+    /// single-machine scan.  Only the shards `0..K` of the topology checked
+    /// at connect are read; a reply's other shard ids are ignored.
+    fn candidate_sums(&self, candidates: &[Point], diameter: f64) -> Result<Vec<f64>> {
+        let request = Request::Evaluate {
+            candidates: candidates.to_vec(),
+            diameter,
+        };
+        let mut per_shard: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
+        for response in self.ask_all(&request)? {
+            let Response::Evaluated { sums, .. } = response else {
+                return Err(wrong_reply("Evaluate"));
+            };
+            per_shard.extend(sums);
+        }
+        let mut totals = vec![0.0f64; candidates.len()];
+        for shard in 0..self.cluster.shards.len() as u32 {
+            if let Some(sums) = per_shard.get(&shard) {
+                for (t, s) in totals.iter_mut().zip(sums) {
+                    *t += s;
+                }
+            }
+        }
+        Ok(totals)
+    }
+
+    /// Every shard's objects concatenated in shard order, shards `0..K`
+    /// only (as for [`candidate_sums`](SweepSource::candidate_sums)).
+    fn objects(&self) -> Result<Vec<WeightedPoint>> {
+        let mut per_shard: BTreeMap<u32, Vec<ObjectRecord>> = BTreeMap::new();
+        for response in self.ask_all(&Request::FetchObjects)? {
+            let Response::Objects { objects, .. } = response else {
+                return Err(wrong_reply("FetchObjects"));
+            };
+            per_shard.extend(objects);
+        }
+        Ok((0..self.cluster.shards.len() as u32)
+            .filter_map(|shard| per_shard.remove(&shard))
+            .flatten()
+            .map(|r| r.0)
+            .collect())
+    }
+
+    fn io(&self) -> IoSnapshot {
+        *self.remote.lock().expect("io lock") + self.cluster.merge_ctx.stats()
+    }
+
+    fn group_workers(&self) -> usize {
+        1
+    }
+
+    fn workers(&self) -> usize {
+        self.cluster.members.len()
+    }
+}
+
+impl ClusterPass<'_> {
+    /// One pass: the two-round distribute/solve protocol (see
+    /// [`crate::protocol`]), then `merge` over the solved global slab-files
+    /// and the y-sorted span events on the coordinator's merge device —
+    /// exactly the inputs of the single-machine sharded pass's merge.
+    fn pass<T>(
+        &self,
+        (size, weight_scale): (RectSize, f64),
+        root: Interval,
+        suppressed: &[Rect],
+        merge: impl FnOnce(
+            &[TupleFile<SlabTuple>],
+            &[Interval],
+            &TupleFile<SpanEvent>,
+        ) -> maxrs_core::Result<T>,
+    ) -> Result<T> {
         let (c, agg) = (self.cluster, &self.remote);
         let partition = c.map.clipped_partition(root);
         let owners = c.map.slab_owners(&partition);
@@ -587,7 +701,7 @@ impl SweepSource for ClusterPass<'_> {
         // Merge on the coordinator's device: per-slab files + y-sorted span
         // events through the canonical MergeSweep.
         let mut slab_files: Vec<TupleFile<SlabTuple>> = Vec::with_capacity(m);
-        let body = (|| -> Result<TupleFile<SlabTuple>> {
+        let body = (|| -> Result<T> {
             for tuples in &resolved {
                 slab_files.push(c.merge_ctx.write_all(tuples)?);
             }
@@ -600,7 +714,7 @@ impl SweepSource for ClusterPass<'_> {
             let sorted = external_sort_by_key(&c.merge_ctx, &unsorted, |e| e.y);
             c.merge_ctx.delete_file(unsorted)?;
             let sorted = sorted?;
-            let merged = merge_sweep(&c.merge_ctx, &slab_files, &partition.slabs(), &sorted);
+            let merged = merge(&slab_files, &partition.slabs(), &sorted);
             c.merge_ctx.delete_file(sorted)?;
             Ok(merged?)
         })();
@@ -610,88 +724,6 @@ impl SweepSource for ClusterPass<'_> {
         body
     }
 
-    /// Every server reports the minimum over its hosted shards; the
-    /// coordinator takes the minimum across servers.
-    fn next_breakpoint(
-        &self,
-        size: RectSize,
-        root: Interval,
-        after_x: f64,
-        suppressed: &[Rect],
-    ) -> Result<f64> {
-        let request = Request::Breakpoint {
-            size,
-            root,
-            after_x,
-            suppressed: suppressed.to_vec(),
-        };
-        let mut hi = f64::INFINITY;
-        for response in self.ask_all(&request)? {
-            let Response::Breakpoint { hi: h, .. } = response else {
-                return Err(wrong_reply("Breakpoint"));
-            };
-            hi = hi.min(h);
-        }
-        Ok(hi)
-    }
-
-    /// Per-shard sums accumulated in shard order, the order of the
-    /// single-machine scan.  Only the shards `0..K` of the topology checked
-    /// at connect are read; a reply's other shard ids are ignored.
-    fn candidate_sums(&self, candidates: &[Point], diameter: f64) -> Result<Vec<f64>> {
-        let request = Request::Evaluate {
-            candidates: candidates.to_vec(),
-            diameter,
-        };
-        let mut per_shard: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-        for response in self.ask_all(&request)? {
-            let Response::Evaluated { sums, .. } = response else {
-                return Err(wrong_reply("Evaluate"));
-            };
-            per_shard.extend(sums);
-        }
-        let mut totals = vec![0.0f64; candidates.len()];
-        for shard in 0..self.cluster.shards.len() as u32 {
-            if let Some(sums) = per_shard.get(&shard) {
-                for (t, s) in totals.iter_mut().zip(sums) {
-                    *t += s;
-                }
-            }
-        }
-        Ok(totals)
-    }
-
-    /// Every shard's objects concatenated in shard order, shards `0..K`
-    /// only (as for [`candidate_sums`](SweepSource::candidate_sums)).
-    fn objects(&self) -> Result<Vec<WeightedPoint>> {
-        let mut per_shard: BTreeMap<u32, Vec<ObjectRecord>> = BTreeMap::new();
-        for response in self.ask_all(&Request::FetchObjects)? {
-            let Response::Objects { objects, .. } = response else {
-                return Err(wrong_reply("FetchObjects"));
-            };
-            per_shard.extend(objects);
-        }
-        Ok((0..self.cluster.shards.len() as u32)
-            .filter_map(|shard| per_shard.remove(&shard))
-            .flatten()
-            .map(|r| r.0)
-            .collect())
-    }
-
-    fn io(&self) -> IoSnapshot {
-        *self.remote.lock().expect("io lock") + self.cluster.merge_ctx.stats()
-    }
-
-    fn group_workers(&self) -> usize {
-        1
-    }
-
-    fn workers(&self) -> usize {
-        self.cluster.members.len()
-    }
-}
-
-impl ClusterPass<'_> {
     /// Sends `request` to every server, metering the replies' I/O.
     fn ask_all(&self, request: &Request) -> Result<Vec<Response>> {
         let servers: Vec<usize> = (0..self.cluster.members.len()).collect();

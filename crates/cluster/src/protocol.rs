@@ -28,7 +28,7 @@
 //! to how it rests on a block device.  No serialization dependency is
 //! involved.
 
-use maxrs_core::{ObjectRecord, RectRecord, SlabTuple, SpanEvent};
+use maxrs_core::{validate_object, ObjectRecord, RectRecord, SlabTuple, SpanEvent};
 use maxrs_em::{codec, IoSnapshot, Record};
 use maxrs_geometry::{Interval, Point, Rect, RectSize};
 
@@ -99,7 +99,8 @@ pub enum Request {
         imported: Vec<PieceSet>,
     },
     /// Canonicalization support: the next arrangement breakpoint strictly
-    /// after `after_x` over every hosted shard.
+    /// after `after_x` and the next rectangle y-edge strictly after
+    /// `after_y` over every hosted shard.
     Breakpoint {
         /// Query rectangle extent.
         size: RectSize,
@@ -107,6 +108,8 @@ pub enum Request {
         root: Interval,
         /// Scan for breakpoints strictly greater than this.
         after_x: f64,
+        /// Scan for y-edges strictly greater than this.
+        after_y: f64,
         /// Top-k suppression in effect for the pass.
         suppressed: Vec<Rect>,
     },
@@ -158,6 +161,8 @@ pub enum Response {
     Breakpoint {
         /// Minimum breakpoint over the hosted shards (`+∞` when none).
         hi: f64,
+        /// Minimum y-edge over the hosted shards (`+∞` when none).
+        next_y: f64,
         /// Server-side block transfers of this request.
         io: IoSnapshot,
     },
@@ -438,10 +443,20 @@ impl<'a> Reader<'a> {
         let n = self.count(12)?;
         (0..n)
             .map(|_| {
+                let (source, slab) = (self.u32()?, self.u32()?);
+                let rects: Vec<RectRecord> = self.records()?;
+                // Pieces go straight into a slab sweep: reject inverted or
+                // NaN extents here rather than inside the sweep.
+                if let Some(r) = rects
+                    .iter()
+                    .find(|r| !(r.rect.x_lo <= r.rect.x_hi && r.rect.y_lo <= r.rect.y_hi))
+                {
+                    return Err(WireError(format!("malformed rectangle piece {}", r.rect)));
+                }
                 Ok(PieceSet {
-                    source: self.u32()?,
-                    slab: self.u32()?,
-                    rects: self.records()?,
+                    source,
+                    slab,
+                    rects,
                 })
             })
             .collect()
@@ -486,12 +501,14 @@ impl Request {
                 size,
                 root,
                 after_x,
+                after_y,
                 suppressed,
             } => {
                 w.u8(REQ_BREAKPOINT);
                 w.size(*size);
                 w.interval(*root);
                 w.f64(*after_x);
+                w.f64(*after_y);
                 w.rects(suppressed);
             }
             Request::Evaluate {
@@ -524,6 +541,7 @@ impl Request {
                 size: r.size()?,
                 root: r.interval()?,
                 after_x: r.f64()?,
+                after_y: r.f64()?,
                 suppressed: r.rects()?,
             },
             REQ_EVALUATE => {
@@ -593,9 +611,10 @@ impl Response {
                 }
                 w.io(*io);
             }
-            Response::Breakpoint { hi, io } => {
+            Response::Breakpoint { hi, next_y, io } => {
                 w.u8(RESP_BREAKPOINT);
                 w.f64(*hi);
+                w.f64(*next_y);
                 w.io(*io);
             }
             Response::Evaluated { sums, io } => {
@@ -667,6 +686,7 @@ impl Response {
             }
             RESP_BREAKPOINT => Response::Breakpoint {
                 hi: r.f64()?,
+                next_y: r.f64()?,
                 io: r.io()?,
             },
             RESP_EVALUATED => {
@@ -679,7 +699,14 @@ impl Response {
             RESP_OBJECTS => {
                 let n = r.count(8)?;
                 let objects = (0..n)
-                    .map(|_| Ok((r.u32()?, r.records::<ObjectRecord>()?)))
+                    .map(|_| {
+                        let (shard, records) = (r.u32()?, r.records::<ObjectRecord>()?);
+                        for (i, o) in records.iter().enumerate() {
+                            validate_object(o.0.point.x, o.0.point.y, o.0.weight)
+                                .map_err(|e| WireError(format!("shard {shard} object {i}: {e}")))?;
+                        }
+                        Ok((shard, records))
+                    })
                     .collect::<WireResult<Vec<_>>>()?;
                 Response::Objects {
                     objects,
@@ -737,6 +764,7 @@ mod tests {
             size: RectSize::square(2.0),
             root: Interval::UNBOUNDED,
             after_x: -3.75,
+            after_y: 0.5,
             suppressed: vec![],
         });
         roundtrip_request(Request::Evaluate {
@@ -783,6 +811,7 @@ mod tests {
         });
         roundtrip_response(Response::Breakpoint {
             hi: f64::INFINITY,
+            next_y: 12.5,
             io: IoSnapshot::default(),
         });
         roundtrip_response(Response::Evaluated {

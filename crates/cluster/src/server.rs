@@ -18,13 +18,13 @@ use std::convert::Infallible;
 use std::path::Path;
 
 use maxrs_core::shard::prepare_shard;
-use maxrs_core::sweep::{next_breakpoint_after, solve_rects};
+use maxrs_core::sweep::{next_edges_after, solve_rects};
 use maxrs_core::{
-    evaluate_candidates, EngineOptions, ExactMaxRsOptions, PreparedDataset, RectRecord,
-    Result as CoreResult, SlabPartition, SpanEvent,
+    evaluate_candidates, validate_objects, EngineOptions, ExactMaxRsOptions, PreparedDataset,
+    RectRecord, Result as CoreResult, SlabPartition, SpanEvent,
 };
 use maxrs_em::{EmContext, IoSnapshot};
-use maxrs_geometry::{Rect, WeightedPoint};
+use maxrs_geometry::{Point, Rect, WeightedPoint};
 
 use crate::protocol::{PassSpec, PieceSet, Request, Response, ShardInfo};
 
@@ -85,6 +85,7 @@ impl ShardServer {
         directory: Option<&Path>,
         objects: &[WeightedPoint],
     ) -> CoreResult<()> {
+        validate_objects(objects)?;
         assert!(
             id < self.num_shards,
             "shard id {id} out of range for {} shards",
@@ -133,8 +134,9 @@ impl ShardServer {
                 size,
                 root,
                 after_x,
+                after_y,
                 suppressed,
-            } => self.breakpoint(*size, *root, *after_x, suppressed),
+            } => self.breakpoint(*size, *root, Point::new(*after_x, *after_y), suppressed),
             Request::Evaluate {
                 candidates,
                 diameter,
@@ -165,9 +167,9 @@ impl ShardServer {
     }
 
     /// One hosted source shard's distribute scan — the scan of the
-    /// single-machine sharded distribute: every unsuppressed object becomes
-    /// the pass's rectangle, cropped by [`SlabPartition::crop`] into `piece`
-    /// and `span`.
+    /// single-machine sharded distribute: every unsuppressed object whose
+    /// rectangle meets the pass root becomes the pass's rectangle, cropped
+    /// by [`SlabPartition::crop`] into `piece` and `span`.
     fn crop_hosted(
         &self,
         h: &HostedShard,
@@ -177,17 +179,19 @@ impl ShardServer {
         mut span: impl FnMut([SpanEvent; 2]),
     ) -> CoreResult<()> {
         let (ctx, file) = h.data.external_parts().expect("shards are external");
+        let root = partition.outer();
         let mut reader = ctx.open_reader(file);
         while let Some(rec) = reader.next_record()? {
-            if pass
-                .suppressed
-                .iter()
-                .any(|r| r.contains_open(&rec.0.point))
+            let rect = rec.0.to_rect(pass.size);
+            if rect.clip_x(&root).is_none()
+                || pass
+                    .suppressed
+                    .iter()
+                    .any(|r| r.contains_open(&rec.0.point))
             {
                 continue;
             }
-            let record =
-                RectRecord::new(rec.0.to_rect(pass.size), pass.weight_scale * rec.0.weight);
+            let record = RectRecord::new(rect, pass.weight_scale * rec.0.weight);
             let Ok(()) = partition.crop::<Infallible>(
                 &record,
                 |t, p| {
@@ -366,26 +370,28 @@ impl ShardServer {
         })
     }
 
-    /// The per-server half of min-next-breakpoint canonicalization: the
-    /// minimum of [`next_breakpoint_after`] over every hosted shard (the
-    /// coordinator takes the minimum across servers, which together is
-    /// exactly the all-shards loop of the single-machine canonicalize).
+    /// The per-server half of min-next-edges canonicalization: the
+    /// minimum of [`next_edges_after`] over every hosted shard, in each
+    /// direction (the coordinator takes the minimum across servers, which
+    /// together is exactly the all-shards loop of the single-machine
+    /// canonicalize).
     fn breakpoint(
         &self,
         size: maxrs_geometry::RectSize,
         root: maxrs_geometry::Interval,
-        after_x: f64,
+        after: Point,
         suppressed: &[Rect],
     ) -> CoreResult<Response> {
-        let mut hi = f64::INFINITY;
+        let (mut hi, mut next_y) = (f64::INFINITY, f64::INFINITY);
         for h in &self.hosted {
             let (ctx, file) = h.data.external_parts().expect("shards are external");
-            hi = hi.min(next_breakpoint_after(
-                ctx, file, size, root, after_x, suppressed,
-            )?);
+            let (x, y) = next_edges_after(ctx, file, size, root, after, suppressed)?;
+            hi = hi.min(x);
+            next_y = next_y.min(y);
         }
         Ok(Response::Breakpoint {
             hi,
+            next_y,
             io: IoSnapshot::default(),
         })
     }

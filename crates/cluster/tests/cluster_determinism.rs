@@ -457,6 +457,82 @@ fn deep_top_k_is_bit_identical_across_five_paths() {
     }
 }
 
+/// Heavy clusters on the x-quartiles of the data — where the shards split,
+/// and where the top-level slabs of a fan-out-4 sweep over the sorted file
+/// split — with lighter copies 45 units to their right.
+fn straddling_objects() -> Vec<WeightedPoint> {
+    let mut objects: Vec<WeightedPoint> = (0..4000)
+        .map(|i| WeightedPoint::at(i as f64, (i as f64 * 7.31) % 4000.0, 1.0))
+        .collect();
+    for (b, heavy) in [(1000.0, 9.0), (2000.0, 8.0), (3000.0, 7.0)] {
+        for j in 0..6 {
+            let d = j as f64 * 3.0 - 7.5;
+            objects.push(WeightedPoint::at(b + d, 1000.0 + d, heavy));
+            objects.push(WeightedPoint::at(b + 45.0 + d, 1000.0 - d, heavy - 1.0));
+        }
+    }
+    objects
+}
+
+/// Incremental top-k rounds re-sweep only the slabs near the last
+/// placement.  Here the chosen rectangles straddle the top-level slab and
+/// shard boundaries, and later windows overlap slabs an earlier round
+/// already re-swept; the single sorted file, K = 4 shards and a 2-server
+/// in-process cluster must still answer exactly like the in-memory greedy.
+#[test]
+fn straddling_top_k_matches_the_in_memory_greedy_on_every_layout() {
+    let objects = straddling_objects();
+    let opts = EngineOptions {
+        em_config: EmConfig::new(512, 16 * 512).unwrap(),
+        exact: ExactMaxRsOptions {
+            fanout: Some(4),
+            ..ExactMaxRsOptions::default()
+        },
+        force_strategy: None,
+    };
+    let engine = MaxRsEngine::with_options(opts);
+    let prepared = engine.prepare(&objects).unwrap();
+    assert!(prepared.is_external());
+    let sharded = engine
+        .prepare_sharded(&objects, &ShardLayout::new(4))
+        .unwrap();
+    let cluster = in_process_cluster(opts, &objects, 4, 2);
+    // The shards split at the x-quartiles, exactly where the top-level slabs
+    // of the fan-out-4 sweep over the sorted file split.
+    let boundaries = sharded.boundaries().to_vec();
+    assert_eq!(boundaries, cluster.boundaries());
+    assert_eq!(boundaries.len(), 3);
+    for (side, k) in [(40.0, 8), (60.0, 12)] {
+        let size = RectSize::square(side);
+        let reference = max_k_rs_in_memory(&objects, size, k);
+        assert_eq!(reference.len(), k);
+        for b in &boundaries {
+            assert!(
+                reference
+                    .iter()
+                    .any(|p| p.center.x - side / 2.0 < *b && *b < p.center.x + side / 2.0),
+                "side {side}: no placement straddles the boundary {b}"
+            );
+        }
+        assert!(
+            reference.iter().enumerate().any(|(i, p)| reference[..i]
+                .iter()
+                .any(|q| (p.center.x - q.center.x).abs() < 2.0 * side)),
+            "side {side}: no window overlaps an earlier one"
+        );
+        let reference = QueryAnswer::TopK(reference);
+        let query = Query::top_k(size, k);
+        let paths = [
+            ("prepared", prepared.run(&query).unwrap().answer),
+            ("sharded", sharded.run(&query).unwrap().answer),
+            ("in-process cluster", cluster.run(&query).unwrap().answer),
+        ];
+        for (path, answer) in paths {
+            assert_eq!(answer, reference, "{path}, side {side}");
+        }
+    }
+}
+
 /// Whole-space MinRS over sparse data ties at 0 in many arrangement cells;
 /// the cluster must report the same max-region as the unsharded run, not a
 /// wider cell that depends on where the shard and slab boundaries fall.

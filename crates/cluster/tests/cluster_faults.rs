@@ -477,3 +477,23 @@ fn reply_entries_for_unknown_shards_are_ignored() {
         );
     }
 }
+
+/// Hosting a shard validates its objects like every other static entry
+/// point: a bad one is a typed error carrying its index, and the server
+/// stays usable.
+#[test]
+fn hosting_rejects_invalid_objects_with_their_index() {
+    let mut data = objects(60, 9);
+    data[7] = WeightedPoint {
+        point: maxrs_geometry::Point::new(3.0, f64::NEG_INFINITY),
+        weight: 1.0,
+    };
+    let mut server = ShardServer::new(opts(), Vec::new());
+    match server.host(0, &data) {
+        Err(maxrs_core::CoreError::InvalidObject { index: 7, .. }) => {}
+        other => panic!("expected InvalidObject at 7, got {other:?}"),
+    }
+    assert!(server.hosted_shards().is_empty());
+    server.host(0, &objects(60, 9)).unwrap();
+    assert_eq!(server.hosted_shards(), vec![0]);
+}

@@ -15,17 +15,33 @@
 //!   positive-weight pass: MaxRS answers *are* the pass's canonical best,
 //!   top-k piggybacks its first round on it (later suppression rounds are
 //!   shared up to the largest requested `k`), and ApproxMaxCRS refines the
-//!   shared centroid with its own 5-candidate scan.
+//!   shared centroid with its own 5-candidate scan.  The pass writes no
+//!   merged slab-file: its root MergeSweep hands back the best tuple of
+//!   each top-level slab ([`SlabBest`]), and the answer is the best of
+//!   those.
 //! * [`Query::MinRs`] queries sharing a size and a domain x-slab share one
 //!   weight-negated pass; each member streams its own domain-clipped strip
 //!   scan over the shared slab-file.
 //!
+//! # Incremental top-k
+//!
+//! Suppressing a placement centered at `c` removes only objects whose
+//! rectangles lie within `(c.x − w, c.x + w)`, `w` the rectangle width, so
+//! every slab outside that window keeps its best.  The rounds keep the
+//! bests of the first pass as a list of slabs covering the x-axis; each
+//! later round re-sweeps only the contiguous run of slabs meeting the
+//! window, with that run's union as the pass root, and splices the new
+//! bests in.  The round's answer is the best over the whole list,
+//! canonicalized by one scan of all objects — so a later round still scans
+//! every object, but sweeps only the window.
+//!
 //! # One executor, three layouts
 //!
 //! The variant logic above is written once, over the [`SweepSource`] trait:
-//! a layout supplies only the merged slab-file of a pass, the minimum
-//! next-breakpoint over its data, the candidate sums of ApproxMaxCRS, its
-//! objects in x order and its I/O meter.  The single x-sorted file of
+//! a layout supplies only the per-slab bests of a pass, the merged
+//! slab-file of a weight-negated MinRS pass, the next arrangement edges over
+//! its data, the candidate sums of ApproxMaxCRS, its objects in x order and
+//! its I/O meter.  The single x-sorted file of
 //! [`PreparedDataset`](crate::PreparedDataset) and
 //! [`DeltaDataset`](crate::DeltaDataset) runs a presorted
 //! [`SweepPass`]; [`ShardedDataset`](crate::ShardedDataset) runs its
@@ -60,11 +76,12 @@ use crate::engine::ExecutionStrategy;
 use crate::error::{CoreError, Result};
 use crate::exact::ExactMaxRsOptions;
 use crate::extensions::{min_rs_in_memory, min_strip_scan, MinStrip};
+use crate::merge_sweep::{best_of, SlabBest};
 use crate::parallel::parallel_map;
 use crate::query::{Query, QueryAnswer, QueryRun};
 use crate::records::{ObjectRecord, SlabTuple};
 use crate::result::{MaxCrsResult, MaxRsResult};
-use crate::sweep::{extract_best, next_breakpoint_after, widen_to_breakpoint, SweepPass};
+use crate::sweep::{canonical_result, next_edges_after, SweepPass};
 
 /// A validated slice of queries planned into shared sweep groups.
 ///
@@ -204,9 +221,10 @@ impl QueryBatch {
 /// depend on the storage layout, and nothing else.
 ///
 /// [`QueryBatch::execute`] writes every query variant once over this trait
-/// — the shared MaxRS / top-k / ApproxMaxCRS group, the MinRS group, the
-/// degenerate-MinRS delegate, min-breakpoint canonicalization and leader
-/// I/O attribution.  Three layouts implement it: one x-sorted object file
+/// — the shared MaxRS / top-k / ApproxMaxCRS group with its incremental
+/// top-k rounds, the MinRS group, the degenerate-MinRS delegate, the one
+/// answer rule over per-slab bests, canonicalization and leader I/O
+/// attribution.  Three layouts implement it: one x-sorted object file
 /// ([`PreparedDataset`](crate::PreparedDataset) and
 /// [`DeltaDataset`](crate::DeltaDataset)), the in-process shards of a
 /// [`ShardedDataset`](crate::ShardedDataset), and the remote shard servers
@@ -226,28 +244,38 @@ pub trait SweepSource: Sync {
     /// Number of objects in the dataset.
     fn num_objects(&self) -> u64;
 
-    /// The merged root slab-file of one pass on [`merge_ctx`]: every
-    /// unsuppressed object transformed to a `size` rectangle with its weight
-    /// multiplied by `weight_scale`, swept over the x-slab `root`.
+    /// The per-slab bests of one positive-weight pass: every unsuppressed
+    /// object whose `size` rectangle meets the x-slab `root`, swept over
+    /// `root`, and the root's MergeSweep reduced to the best tuple of each
+    /// top-level slab ([`SlabBest`], in x order, covering `root`).  No merged
+    /// slab-file is written.
+    fn slab_bests(
+        &self,
+        size: RectSize,
+        root: Interval,
+        suppressed: &[Rect],
+    ) -> std::result::Result<Vec<SlabBest>, Self::Error>;
+
+    /// The merged root slab-file of one MinRS pass on [`merge_ctx`], which
+    /// the members' strip scans read: every object transformed to a `size`
+    /// rectangle with its weight negated, swept over the x-slab `root`.
     ///
     /// [`merge_ctx`]: SweepSource::merge_ctx
-    fn slab_file(
+    fn negated_slab_file(
         &self,
         size: RectSize,
-        weight_scale: f64,
         root: Interval,
-        suppressed: &[Rect],
     ) -> std::result::Result<TupleFile<SlabTuple>, Self::Error>;
 
-    /// The minimum over the data of
-    /// [`next_breakpoint_after`].
-    fn next_breakpoint(
+    /// The minimum over the data of [`next_edges_after`], in each
+    /// direction: the next x-breakpoint and the next y-edge after `after`.
+    fn next_edges(
         &self,
         size: RectSize,
         root: Interval,
-        after_x: f64,
+        after: Point,
         suppressed: &[Rect],
-    ) -> std::result::Result<f64, Self::Error>;
+    ) -> std::result::Result<(f64, f64), Self::Error>;
 
     /// The open-disk weight sum of every candidate
     /// ([`evaluate_candidates`]),
@@ -370,20 +398,19 @@ impl<S: SweepSource> Executor<'_, S> {
         }
     }
 
-    /// The full MaxRS pipeline over the unsuppressed objects: sweep →
-    /// extract → canonicalize, the merged slab-file deleted.
-    fn max_rs(&self, size: RectSize, suppressed: &[Rect]) -> Res<MaxRsResult, S> {
-        let ctx = self.source.merge_ctx();
-        let merged = self
-            .source
-            .slab_file(size, 1.0, Interval::UNBOUNDED, suppressed)?;
-        let result = extract_best(ctx, &merged);
-        ctx.delete_file(merged).map_err(CoreError::from)?;
-        // Canonicalize: the upper bound of the full arrangement cell is the
-        // minimum next-breakpoint over the data (see `crate::sweep`).
-        widen_to_breakpoint(result?, |x| {
+    /// The answer rule, one for every layout: the best of the per-slab
+    /// `bests` (greatest sum, then lowest y, then leftmost slab — the tuple
+    /// `extract_best` finds in a merged slab-file), canonicalized by the
+    /// next edges over all unsuppressed objects (see `crate::sweep`).
+    fn answer(
+        &self,
+        size: RectSize,
+        bests: &[SlabBest],
+        suppressed: &[Rect],
+    ) -> Res<MaxRsResult, S> {
+        canonical_result(best_of(bests), |corner| {
             self.source
-                .next_breakpoint(size, Interval::UNBOUNDED, x, suppressed)
+                .next_edges(size, Interval::UNBOUNDED, corner, suppressed)
         })
     }
 
@@ -420,12 +447,17 @@ impl<S: SweepSource> Executor<'_, S> {
                 .collect());
         }
 
-        // The shared phase: the full kernel pipeline once, charged to the
+        // The shared phase: one pass over the unbounded root, charged to the
         // leader.
-        let (best, shared_io) = self.measured(|| self.max_rs(size, &[]))?;
+        let ((best, bests), shared_io) = self.measured(|| {
+            let bests = self.source.slab_bests(size, Interval::UNBOUNDED, &[])?;
+            Ok((self.answer(size, &bests, &[])?, bests))
+        })?;
         // Shared top-k suppression rounds (round 1 is the shared best).
         let (rounds, rounds_io) = match max_k {
-            Some(max_k) if max_k > 0 => self.measured(|| self.top_k_rounds(size, max_k, best))?,
+            Some(max_k) if max_k > 0 => {
+                self.measured(|| self.top_k_rounds(size, max_k, best, bests))?
+            }
             _ => (Vec::new(), IoSnapshot::default()),
         };
 
@@ -466,32 +498,42 @@ impl<S: SweepSource> Executor<'_, S> {
     }
 
     /// Greedy MaxkRS suppression rounds, round 1 supplied by the group's
-    /// shared pass.
+    /// shared pass together with its per-slab `bests`.
     ///
     /// Each further round solves MaxRS over the objects outside every
     /// placement chosen so far: the rounds' passes skip them in their scans
     /// ([`SweepPass::with_suppressed`]) — the external analogue of
     /// [`max_k_rs_in_memory`](crate::extensions::max_k_rs_in_memory)'s
     /// `retain`, with the same answers, because canonical max-regions make
-    /// every round's center layout-independent.  Rounds do not depend on
-    /// `k`, so one shared sequence serves every top-k member (each takes its
-    /// prefix).
+    /// every round's center layout-independent.  Only the slabs within one
+    /// rectangle width of the last center are re-swept (module docs,
+    /// "Incremental top-k").  Rounds do not depend on `k`, so one shared
+    /// sequence serves every top-k member (each takes its prefix).
     fn top_k_rounds(
         &self,
         size: RectSize,
         max_k: usize,
         first_best: MaxRsResult,
+        mut bests: Vec<SlabBest>,
     ) -> Res<Vec<MaxRsResult>, S> {
         // At most one placement per object exists, so a huge k must not
         // pre-allocate k slots (mirrors `max_k_rs_in_memory`).
         let mut results = Vec::with_capacity(max_k.min(self.source.num_objects() as usize));
         let mut suppressed: Vec<Rect> = Vec::new();
+        let mut best = first_best;
         for round in 0..max_k {
-            let best = if round == 0 {
-                first_best
-            } else {
-                self.max_rs(size, &suppressed)?
-            };
+            if round > 0 {
+                // The slabs `lo..hi` meet the window `[c.x - w, c.x + w]`;
+                // the bests cover the x-axis in order, so the run is
+                // contiguous and never empty.
+                let c = best.center;
+                let lo = bests.partition_point(|b| b.slab.hi < c.x - size.width);
+                let hi = bests.partition_point(|b| b.slab.lo <= c.x + size.width);
+                let root = Interval::new(bests[lo].slab.lo, bests[hi - 1].slab.hi);
+                let fresh = self.source.slab_bests(size, root, &suppressed)?;
+                bests.splice(lo..hi, fresh);
+                best = self.answer(size, &bests, &suppressed)?;
+            }
             if best.total_weight <= 0.0 {
                 break;
             }
@@ -531,8 +573,7 @@ impl<S: SweepSource> Executor<'_, S> {
         let ctx = self.source.merge_ctx();
         // The shared phase — negated transform + sweep — charged to the
         // leader.
-        let (slab_file, shared_io) =
-            self.measured(|| self.source.slab_file(size, -1.0, slab, &[]))?;
+        let (slab_file, shared_io) = self.measured(|| self.source.negated_slab_file(size, slab))?;
 
         // Per-member strip scans over the shared slab-file.
         let mut scans: Vec<(usize, Option<MinStrip>, IoSnapshot)> =
@@ -611,7 +652,9 @@ impl<S: SweepSource> Executor<'_, S> {
                 let x = if from_tuple {
                     // Widen the refined cell back to the full arrangement
                     // cell of the domain slab (see `crate::sweep`).
-                    let hi = self.source.next_breakpoint(size, slab, x.lo, &[])?;
+                    let (hi, _) =
+                        self.source
+                            .next_edges(size, slab, Point::new(x.lo, y.lo), &[])?;
                     Interval::new(x.lo, hi)
                 } else {
                     x
@@ -689,28 +732,33 @@ impl SweepSource for SortedFile<'_> {
         self.sorted.len()
     }
 
-    fn slab_file(
+    fn slab_bests(
         &self,
         size: RectSize,
-        weight_scale: f64,
         root: Interval,
         suppressed: &[Rect],
-    ) -> Result<TupleFile<SlabTuple>> {
+    ) -> Result<Vec<SlabBest>> {
         SweepPass::presorted(self.ctx, &self.opts)
-            .with_weight_scale(weight_scale)
             .with_root(root)
             .with_suppressed(suppressed)
+            .slab_bests(self.sorted, size)
+    }
+
+    fn negated_slab_file(&self, size: RectSize, root: Interval) -> Result<TupleFile<SlabTuple>> {
+        SweepPass::presorted(self.ctx, &self.opts)
+            .with_weight_scale(-1.0)
+            .with_root(root)
             .slab_file(self.sorted, size)
     }
 
-    fn next_breakpoint(
+    fn next_edges(
         &self,
         size: RectSize,
         root: Interval,
-        after_x: f64,
+        after: Point,
         suppressed: &[Rect],
-    ) -> Result<f64> {
-        next_breakpoint_after(self.ctx, self.sorted, size, root, after_x, suppressed)
+    ) -> Result<(f64, f64)> {
+        next_edges_after(self.ctx, self.sorted, size, root, after, suppressed)
     }
 
     fn candidate_sums(&self, candidates: &[Point], diameter: f64) -> Result<Vec<f64>> {

@@ -32,6 +32,7 @@ use maxrs_geometry::{RectSize, WeightedPoint};
 use crate::approx::approx_max_crs_in_memory;
 use crate::batch::QueryBatch;
 use crate::error::{EngineError, Result};
+use crate::events::validate_objects;
 use crate::exact::ExactMaxRsOptions;
 use crate::extensions::{max_k_rs_in_memory, min_rs_in_memory};
 use crate::plane_sweep::max_rs_in_memory;
@@ -287,6 +288,7 @@ impl MaxRsEngine {
     /// ```
     pub fn run(&self, objects: &[WeightedPoint], query: &Query) -> Result<QueryRun> {
         query.validate()?;
+        validate_objects(objects)?;
         let (strategy, _) = self.select_strategy(objects.len() as u64);
         if strategy == ExecutionStrategy::InMemory {
             self.guard_in_memory_capacity(objects.len() as u64, self.opts.em_config)?;

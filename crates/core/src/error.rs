@@ -53,6 +53,15 @@ pub enum CoreError {
     /// An event of a dynamic dataset was invalid (see
     /// [`EventError`](crate::EventError)).
     Event(EventError),
+    /// Object `index` of a static input failed
+    /// [`validate_object`](crate::validate_object): a non-finite
+    /// coordinate, or a negative or non-finite weight.
+    InvalidObject {
+        /// Position of the object in the input slice.
+        index: usize,
+        /// What is wrong with it.
+        error: EventError,
+    },
     /// An internal invariant was violated (indicates a bug, reported instead
     /// of panicking so that long experiment sweeps fail gracefully).
     Internal(String),
@@ -65,6 +74,7 @@ impl std::fmt::Display for CoreError {
             CoreError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             CoreError::Engine(e) => write!(f, "engine error: {e}"),
             CoreError::Event(e) => write!(f, "event error: {e}"),
+            CoreError::InvalidObject { index, error } => write!(f, "object {index}: {error}"),
             CoreError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
@@ -75,7 +85,7 @@ impl std::error::Error for CoreError {
         match self {
             CoreError::Em(e) => Some(e),
             CoreError::Engine(e) => Some(e),
-            CoreError::Event(e) => Some(e),
+            CoreError::Event(e) | CoreError::InvalidObject { error: e, .. } => Some(e),
             _ => None,
         }
     }

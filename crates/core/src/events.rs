@@ -37,6 +37,8 @@ use std::collections::{BTreeMap, HashMap};
 
 use maxrs_geometry::WeightedPoint;
 
+use crate::error::CoreError;
+
 /// One record of a dynamic-data stream.
 ///
 /// Every event carries a timestamp `at` in the stream's logical time unit.
@@ -156,6 +158,16 @@ pub fn validate_object(x: f64, y: f64, weight: f64) -> Result<(), EventError> {
         return Err(EventError::InvalidParameter(format!(
             "object weight must be finite and non-negative, got {weight}"
         )));
+    }
+    Ok(())
+}
+
+/// Validates every object of a static input with [`validate_object`]; the
+/// first bad one becomes [`CoreError::InvalidObject`] carrying its index.
+pub fn validate_objects(objects: &[WeightedPoint]) -> crate::error::Result<()> {
+    for (index, o) in objects.iter().enumerate() {
+        validate_object(o.point.x, o.point.y, o.weight)
+            .map_err(|error| CoreError::InvalidObject { index, error })?;
     }
     Ok(())
 }

@@ -131,8 +131,8 @@ pub use delta::{CompactionPolicy, CompactionReport, DeltaDataset, DeltaOptions};
 pub use engine::{EngineOptions, EngineRun, ExecutionStrategy, MaxRsEngine};
 pub use error::{CoreError, EngineError, Result};
 pub use events::{
-    total_order_bits, validate_object, Event, EventError, EventOutcome, EventReport, LiveRecord,
-    LiveSet,
+    total_order_bits, validate_object, validate_objects, Event, EventError, EventOutcome,
+    EventReport, LiveRecord, LiveSet,
 };
 pub use exact::{
     exact_max_rs, exact_max_rs_from_objects, load_objects, sort_objects_by_x, ExactMaxRsOptions,
@@ -142,7 +142,7 @@ pub use extensions::{
 };
 pub use frontier::{FrontierCursor, FrontierMap};
 pub use grid::{grid_cell, UniformGrid, GRID_CELL_LIMIT};
-pub use merge_sweep::merge_sweep;
+pub use merge_sweep::{best_of, merge_sweep, merge_sweep_bests, SlabBest};
 pub use parallel::{available_parallelism, parallel_map};
 pub use plane_sweep::{
     best_region_from_tuples, max_rs_in_memory, plane_sweep_slab, transform_objects, SweepScratch,
@@ -156,5 +156,5 @@ pub use segment_tree::SegmentTree;
 pub use shard::{prepare_shard, select_shard_boundaries, ShardLayout, ShardMap, ShardedDataset};
 pub use slab::{compute_partition, distribute, BoundarySource, Distribution, SlabPartition};
 pub use sweep::{
-    extract_best, next_breakpoint_after, solve_rects, transform_to_rect_file, InputOrder, SweepPass,
+    extract_best, next_edges_after, solve_rects, transform_to_rect_file, InputOrder, SweepPass,
 };

@@ -45,7 +45,7 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-use maxrs_em::{EmContext, TupleFile, TupleReader};
+use maxrs_em::{EmContext, TupleFile, TupleReader, TupleWriter};
 use maxrs_geometry::Interval;
 
 use crate::error::{CoreError, Result};
@@ -60,22 +60,94 @@ pub fn merge_sweep(
     slabs: &[Interval],
     span_events: &TupleFile<SpanEvent>,
 ) -> Result<TupleFile<SlabTuple>> {
-    if slab_files.len() != slabs.len() {
-        return Err(CoreError::Internal(format!(
-            "merge_sweep got {} slab files but {} slabs",
-            slab_files.len(),
-            slabs.len()
-        )));
+    merge_into_file(ctx, |writer| {
+        merge_sweep_readers(
+            open_readers(ctx, slab_files),
+            slabs,
+            ctx.open_reader(span_events),
+            Some(writer),
+        )
+    })
+}
+
+/// Runs `merge` into a fresh slab-file on `ctx`; a failed merge deletes the
+/// partial file, so no orphan is left on a long-lived context.
+pub(crate) fn merge_into_file(
+    ctx: &EmContext,
+    merge: impl FnOnce(&mut TupleWriter<'_, SlabTuple>) -> Result<Vec<SlabBest>>,
+) -> Result<TupleFile<SlabTuple>> {
+    let mut writer = ctx.create_writer::<SlabTuple>()?;
+    let merged = merge(&mut writer);
+    let file = writer.finish()?;
+    match merged {
+        Ok(_) => Ok(file),
+        Err(e) => {
+            let _ = ctx.delete_file(file);
+            Err(e)
+        }
     }
-    let readers: Vec<TupleReader<'_, SlabTuple>> =
-        slab_files.iter().map(|f| ctx.open_reader(f)).collect();
-    let span_reader: TupleReader<'_, SpanEvent> = ctx.open_reader(span_events);
-    merge_sweep_readers(ctx, readers, slabs, span_reader)
+}
+
+/// The same merge as [`merge_sweep`], reduced to the best tuple of each
+/// input slab ([`SlabBest`]); no merged slab-file is written.
+pub fn merge_sweep_bests(
+    ctx: &EmContext,
+    slab_files: &[TupleFile<SlabTuple>],
+    slabs: &[Interval],
+    span_events: &TupleFile<SpanEvent>,
+) -> Result<Vec<SlabBest>> {
+    merge_sweep_readers(
+        open_readers(ctx, slab_files),
+        slabs,
+        ctx.open_reader(span_events),
+        None,
+    )
+}
+
+fn open_readers<'c>(
+    ctx: &'c EmContext,
+    files: &[TupleFile<SlabTuple>],
+) -> Vec<TupleReader<'c, SlabTuple>> {
+    files.iter().map(|f| ctx.open_reader(f)).collect()
+}
+
+/// One slab's best tuple in a sweep pass: the first event `y` at which the
+/// slab reaches its maximum location-weight, the slab's leftmost
+/// max-interval at that `y`, and that maximum — or `None` when the pass had
+/// no event.
+///
+/// [`best_of`] reduces the bests of a pass's slabs to the tuple
+/// [`extract_best`](crate::sweep::extract_best) finds in the merged
+/// slab-file.  Bests of disjoint slabs from different passes combine the
+/// same way, which is what lets top-k rounds re-sweep only the slabs a
+/// placement touched.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlabBest {
+    /// The slab's x-interval.
+    pub slab: Interval,
+    /// Its best tuple.
+    pub best: Option<SlabTuple>,
+}
+
+/// The best tuple over `bests`: the greatest sum, then the lowest `y`, then
+/// the leftmost slab (`bests` in x order).
+pub fn best_of(bests: &[SlabBest]) -> Option<SlabTuple> {
+    bests
+        .iter()
+        .filter_map(|b| b.best)
+        .fold(None, |acc: Option<SlabTuple>, t| {
+            if acc.is_none_or(|a| t.sum > a.sum || (t.sum == a.sum && t.y < a.y)) {
+                Some(t)
+            } else {
+                acc
+            }
+        })
 }
 
 /// Reader-level core of [`merge_sweep`]: merges `m` y-sorted slab-tuple
-/// streams plus a y-sorted spanning-event stream into the slab-file of the
-/// union slab, written on `out_ctx`.
+/// streams plus a y-sorted spanning-event stream, writing the slab-file of
+/// the union slab to `out` (when given) and returning the best tuple of
+/// every input slab.
 ///
 /// The readers may come from **different contexts** (each borrows only the
 /// context its file lives on) — this is what lets the sharded dataset layer
@@ -83,11 +155,11 @@ pub fn merge_sweep(
 /// block devices into one answer without first copying them to a common
 /// device.
 pub(crate) fn merge_sweep_readers(
-    out_ctx: &EmContext,
     mut readers: Vec<TupleReader<'_, SlabTuple>>,
     slabs: &[Interval],
     mut span_reader: TupleReader<'_, SpanEvent>,
-) -> Result<TupleFile<SlabTuple>> {
+    mut out: Option<&mut TupleWriter<'_, SlabTuple>>,
+) -> Result<Vec<SlabBest>> {
     if readers.len() != slabs.len() {
         return Err(CoreError::Internal(format!(
             "merge_sweep got {} slab readers but {} slabs",
@@ -96,7 +168,6 @@ pub(crate) fn merge_sweep_readers(
         )));
     }
     let m = readers.len();
-    let mut writer = out_ctx.create_writer::<SlabTuple>()?;
 
     // Sweep state.
     let mut up_sum = vec![0.0f64; m];
@@ -105,6 +176,12 @@ pub(crate) fn merge_sweep_readers(
         .map(|s| SlabTuple::new(f64::NEG_INFINITY, s.lo, s.hi, 0.0))
         .collect();
     let mut best = ArgmaxTree::new(m);
+    let mut bests: Vec<SlabBest> = slabs
+        .iter()
+        .map(|&slab| SlabBest { slab, best: None })
+        .collect();
+    // Slabs whose total the current event changed; every slab at the first.
+    let mut touched: Vec<usize> = (0..m).collect();
 
     // Reader heads, smallest y first.
     let mut heads = BinaryHeap::with_capacity(m);
@@ -142,6 +219,7 @@ pub(crate) fn merge_sweep_readers(
                     *sum += e.delta();
                 }
                 best.refresh(lo, hi, |i| tslab[i].sum + up_sum[i]);
+                touched.extend(lo..=hi);
             }
         }
         while let Some(mut head) = heads.peek_mut() {
@@ -161,15 +239,36 @@ pub(crate) fn merge_sweep_readers(
                 }
             }
             best.refresh(i, i, |i| tslab[i].sum + up_sum[i]);
+            touched.push(i);
+        }
+
+        // A slab's total changes only at the events that touch it, so its
+        // first maximum is found among them (strictly greater keeps the
+        // first).  Totals are read as the argmax tree reads them.
+        for i in touched.drain(..) {
+            let total = leaf_value(tslab[i].sum + up_sum[i]);
+            if bests[i].best.is_none_or(|b| total > b.sum) {
+                bests[i].best = Some(SlabTuple::new(y, tslab[i].x_lo, tslab[i].x_hi, total));
+            }
         }
 
         // Emit the leftmost best sub-slab's max-interval.
-        let (best_idx, total) = best.leftmost_max();
-        let winner = &tslab[best_idx];
-        writer.push(&SlabTuple::new(y, winner.x_lo, winner.x_hi, total))?;
+        if let Some(writer) = out.as_deref_mut() {
+            let (best_idx, total) = best.leftmost_max();
+            let winner = &tslab[best_idx];
+            writer.push(&SlabTuple::new(y, winner.x_lo, winner.x_hi, total))?;
+        }
     }
+    Ok(bests)
+}
 
-    writer.finish().map_err(CoreError::from)
+/// How the argmax tree reads a total: `NaN` never wins.
+fn leaf_value(v: f64) -> f64 {
+    if v.is_nan() {
+        f64::NEG_INFINITY
+    } else {
+        v
+    }
 }
 
 /// A leftmost-argmax tournament tree over `m` leaf values.
@@ -211,8 +310,7 @@ impl ArgmaxTree {
     /// `O((hi - lo) + log m)`.
     fn refresh(&mut self, lo: usize, hi: usize, value: impl Fn(usize) -> f64) {
         for i in lo..=hi {
-            let v = value(i);
-            self.nodes[self.cap + i] = (if v.is_nan() { f64::NEG_INFINITY } else { v }, i);
+            self.nodes[self.cap + i] = (leaf_value(value(i)), i);
         }
         let (mut lo, mut hi) = ((self.cap + lo) / 2, (self.cap + hi) / 2);
         while lo >= 1 {
@@ -236,6 +334,8 @@ mod tests {
     use super::*;
     use crate::plane_sweep::{best_region_from_tuples, plane_sweep_slab};
     use crate::records::RectRecord;
+    use crate::result::MaxRsResult;
+    use crate::sweep::extract_best;
     use maxrs_em::EmConfig;
     use maxrs_geometry::Rect;
 
@@ -466,9 +566,11 @@ mod tests {
     /// ranges.  Every y comes from a small grid that includes both `-0.0`
     /// and `0.0`, so heads of different children often tie; sums mix
     /// integers, non-integers, negatives and both zeros, so argmax ties and
-    /// inexact additions both occur.
+    /// inexact additions both occur.  With `all_zero`, every sum and span
+    /// weight is zero, so every slab ties everywhere.
     fn random_merge_input(
         m: usize,
+        all_zero: bool,
         rng: &mut proptest::TestRng,
     ) -> (Vec<Interval>, Vec<Vec<SlabTuple>>, Vec<SpanEvent>) {
         const YS: [f64; 9] = [-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 2.5, 7.0];
@@ -490,7 +592,8 @@ mod tests {
                     .map(|y| {
                         let a = slab.lo + rng.next_f64() * 0.5;
                         let b = a + rng.next_f64() * 0.5;
-                        SlabTuple::new(y, a, b, SUMS[rng.below(SUMS.len())])
+                        let sum = SUMS[rng.below(SUMS.len())];
+                        SlabTuple::new(y, a, b, if all_zero { 0.0 } else { sum })
                     })
                     .collect()
             })
@@ -500,7 +603,11 @@ mod tests {
             let lo = rng.below(m);
             let hi = lo + rng.below(m - lo);
             let (a, b) = (YS[rng.below(YS.len())], YS[rng.below(YS.len())]);
-            let weight = SUMS[rng.below(SUMS.len())] + 0.5;
+            let weight = if all_zero {
+                0.0
+            } else {
+                SUMS[rng.below(SUMS.len())] + 0.5
+            };
             spans.extend(SpanEvent::pair(
                 a.min(b),
                 a.max(b),
@@ -522,13 +629,44 @@ mod tests {
         fn heap_merge_matches_the_linear_scan(m in 1usize..81, seed in proptest::any::<u64>()) {
             let ctx = ctx();
             let mut rng = proptest::TestRng::from_name(&seed.to_string());
-            let (slabs, children, spans) = random_merge_input(m, &mut rng);
+            let (slabs, children, spans) = random_merge_input(m, false, &mut rng);
             let files: Vec<_> = children.iter().map(|c| ctx.write_all(c).unwrap()).collect();
             let span_file = ctx.write_all(&spans).unwrap();
             let want = merge_sweep_linear(&ctx, &files, &slabs, &span_file);
             let merged = merge_sweep(&ctx, &files, &slabs, &span_file).unwrap();
             let got = ctx.read_all(&merged).unwrap();
             assert_same_tuples(&got, &want, &format!("m = {m}, seed = {seed}"));
+        }
+
+        /// The per-slab bests of a merge reduce, by the answer rule of
+        /// [`best_of`], to exactly the tuple `extract_best` picks from the
+        /// file the same merge writes.
+        #[test]
+        fn slab_bests_reduce_to_the_best_of_the_merged_file(
+            m in 1usize..81,
+            seed in proptest::any::<u64>(),
+            all_zero in proptest::any::<bool>(),
+        ) {
+            let ctx = ctx();
+            let mut rng = proptest::TestRng::from_name(&seed.to_string());
+            let (slabs, children, spans) = random_merge_input(m, all_zero, &mut rng);
+            let files: Vec<_> = children.iter().map(|c| ctx.write_all(c).unwrap()).collect();
+            let span_file = ctx.write_all(&spans).unwrap();
+            let bests = merge_sweep_bests(&ctx, &files, &slabs, &span_file).unwrap();
+            let merged = merge_sweep(&ctx, &files, &slabs, &span_file).unwrap();
+            let want = extract_best(&ctx, &merged).unwrap();
+            let case = format!("m = {m}, seed = {seed}, all_zero = {all_zero}");
+            assert_eq!(bests.iter().map(|b| b.slab).collect::<Vec<_>>(), slabs, "{case}");
+            match best_of(&bests) {
+                None => assert_eq!(want, MaxRsResult::empty(), "{case}"),
+                Some(t) => assert!(
+                    t.sum.to_bits() == want.total_weight.to_bits()
+                        && t.y.to_bits() == want.region.y_lo.to_bits()
+                        && t.x_lo.to_bits() == want.region.x_lo.to_bits()
+                        && t.x_hi.to_bits() == want.region.x_hi.to_bits(),
+                    "{case}: the bests give {t:?}, the merged file {want:?}"
+                ),
+            }
         }
     }
 

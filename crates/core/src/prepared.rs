@@ -33,6 +33,7 @@ use maxrs_geometry::WeightedPoint;
 use crate::batch::{run_batch_external, QueryBatch};
 use crate::engine::{answer_in_memory, EngineOptions, ExecutionStrategy, MaxRsEngine};
 use crate::error::Result;
+use crate::events::validate_objects;
 use crate::exact::{load_objects, sort_objects_by_x};
 use crate::query::{Query, QueryRun};
 use crate::records::ObjectRecord;
@@ -118,6 +119,7 @@ impl MaxRsEngine {
     /// assert_eq!(single.answer, best.answer);
     /// ```
     pub fn prepare(&self, objects: &[WeightedPoint]) -> Result<PreparedDataset<'static>> {
+        validate_objects(objects)?;
         let opts = *self.options();
         let (strategy, _) = self.select_strategy(objects.len() as u64);
         if strategy == ExecutionStrategy::InMemory {

@@ -35,12 +35,13 @@ impl Record for ObjectRecord {
         codec::put_f64(buf, 16, self.0.weight);
     }
 
+    /// Restores the encoded fields as they are (see [`RectRecord`]'s
+    /// decode): no `WeightedPoint::new` debug checks on foreign bytes.
     fn decode(buf: &[u8]) -> Self {
-        ObjectRecord(WeightedPoint::at(
-            codec::get_f64(buf, 0),
-            codec::get_f64(buf, 8),
-            codec::get_f64(buf, 16),
-        ))
+        ObjectRecord(WeightedPoint {
+            point: Point::new(codec::get_f64(buf, 0), codec::get_f64(buf, 8)),
+            weight: codec::get_f64(buf, 16),
+        })
     }
 }
 
@@ -77,14 +78,17 @@ impl Record for RectRecord {
         codec::put_f64(buf, 32, self.weight);
     }
 
+    /// Restores the encoded fields as they are, without `Rect::new`'s
+    /// debug checks: bytes from outside the process (the cluster wire) are
+    /// validated by their decoder, which reports a typed error instead.
     fn decode(buf: &[u8]) -> Self {
         RectRecord {
-            rect: Rect::new(
-                codec::get_f64(buf, 0),
-                codec::get_f64(buf, 8),
-                codec::get_f64(buf, 16),
-                codec::get_f64(buf, 24),
-            ),
+            rect: Rect {
+                x_lo: codec::get_f64(buf, 0),
+                x_hi: codec::get_f64(buf, 8),
+                y_lo: codec::get_f64(buf, 16),
+                y_hi: codec::get_f64(buf, 24),
+            },
             weight: codec::get_f64(buf, 32),
         }
     }

@@ -29,10 +29,11 @@
 //! 3. the per-shard slab-files and the y-sorted spanning events merge
 //!    through the canonical MergeSweep ([`mod@crate::merge_sweep`]) — the
 //!    same one-pass merge every recursion node uses, reading each shard's
-//!    slab-file straight off its own device;
+//!    slab-file straight off its own device — into the best tuple of each
+//!    global slab (or, for MinRS, the merged slab-file);
 //! 4. the winning tuple is widened to its full arrangement cell
 //!    (canonical max-regions, see [`crate::sweep`]) by taking the minimum
-//!    next-breakpoint over the shards.
+//!    next edges over the shards.
 //!
 //! Only the pass is sharded.  The query variants themselves — top-k
 //! suppression rounds, MinRS strip scans, ApproxMaxCRS refinement — run in
@@ -67,21 +68,24 @@
 
 use std::path::PathBuf;
 
-use maxrs_em::{external_sort_by_key, EmContext, FsDisk, IoSnapshot, TupleFile, TupleWriter};
+use maxrs_em::{
+    external_sort_by_key, EmContext, FsDisk, IoSnapshot, TupleFile, TupleReader, TupleWriter,
+};
 use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
 
 use crate::approx::evaluate_candidates;
 use crate::batch::{QueryBatch, SweepSource};
 use crate::engine::{EngineOptions, MaxRsEngine};
 use crate::error::Result;
+use crate::events::validate_objects;
 use crate::exact::{load_objects, sort_objects_by_x, ExactMaxRsOptions};
-use crate::merge_sweep::merge_sweep_readers;
+use crate::merge_sweep::{merge_into_file, merge_sweep_readers, SlabBest};
 use crate::parallel::{available_parallelism, parallel_map};
 use crate::prepared::PreparedDataset;
 use crate::query::{Query, QueryRun};
 use crate::records::{ObjectRecord, RectRecord, SlabTuple, SpanEvent};
 use crate::slab::SlabPartition;
-use crate::sweep::{next_breakpoint_after, solve_rects};
+use crate::sweep::{next_edges_after, solve_rects};
 
 /// How a [`ShardedDataset`] is laid out: how many shards, where their block
 /// devices live, and how boundary selection samples the input.
@@ -307,6 +311,7 @@ impl ShardedDataset {
         objects: &[WeightedPoint],
         layout: &ShardLayout,
     ) -> Result<ShardedDataset> {
+        validate_objects(objects)?;
         let opts = *engine.options();
         let k = layout.shards.max(1);
         let map = ShardMap::new(select_shard_boundaries(objects, k, layout.boundary_sample));
@@ -461,7 +466,9 @@ impl ShardedDataset {
 
     /// Phase 1 for one source shard: the cropping rule of
     /// [`SlabPartition::crop`], streamed from the shard's sorted objects with
-    /// the transform (and the top-k suppression) fused in.
+    /// the transform (and the top-k suppression) fused in.  Rectangles that
+    /// miss the partition's outer slab are skipped, as
+    /// [`SweepPass::transform`](crate::SweepPass::transform) skips them.
     fn distribute_source(
         &self,
         files: &[ShardFile<'_>],
@@ -476,13 +483,17 @@ impl ShardedDataset {
         let mut writers: Vec<Option<TupleWriter<'_, RectRecord>>> = (0..m).map(|_| None).collect();
         let mut span_writer: Option<TupleWriter<'_, SpanEvent>> = None;
 
+        let root = partition.outer();
         let mut reader = src_ctx.open_reader(src_file);
         let body = (|| -> Result<()> {
             while let Some(rec) = reader.next_record()? {
-                if suppressed.iter().any(|r| r.contains_open(&rec.0.point)) {
+                let rect = rec.0.to_rect(size);
+                if rect.clip_x(&root).is_none()
+                    || suppressed.iter().any(|r| r.contains_open(&rec.0.point))
+                {
                     continue;
                 }
-                let record = RectRecord::new(rec.0.to_rect(size), weight_scale * rec.0.weight);
+                let record = RectRecord::new(rect, weight_scale * rec.0.weight);
                 partition.crop(
                     &record,
                     |t, piece| push_piece(files, owners, &mut writers, t, piece),
@@ -604,30 +615,22 @@ impl ShardedDataset {
         self.merge_ctx.delete_file(unsorted)?;
         Ok(sorted?)
     }
-}
-
-impl SweepSource for ShardedDataset {
-    type Error = crate::error::CoreError;
-
-    fn merge_ctx(&self) -> &EmContext {
-        &self.merge_ctx
-    }
-
-    fn num_objects(&self) -> u64 {
-        self.len
-    }
 
     /// The sharded distribution sweep for one `(size, weight_scale, root)`
     /// pass: distribute (per source shard, concurrent) → solve (per global
-    /// slab inside its owner shard, concurrent) → MergeSweep over per-shard
-    /// readers.  Returns the merged root slab-file on the merge context.
-    fn slab_file(
+    /// slab inside its owner shard, concurrent) → `merge` over per-shard
+    /// readers of the global slab-files and the span events.
+    fn pass<T>(
         &self,
-        size: RectSize,
-        weight_scale: f64,
+        (size, weight_scale): (RectSize, f64),
         root: Interval,
         suppressed: &[Rect],
-    ) -> Result<TupleFile<SlabTuple>> {
+        merge: impl FnOnce(
+            Vec<TupleReader<'_, SlabTuple>>,
+            &[Interval],
+            TupleReader<'_, SpanEvent>,
+        ) -> Result<T>,
+    ) -> Result<T> {
         let files = &self.shard_files()[..];
         let partition = self.map.clipped_partition(root);
         let owners = self.map.slab_owners(&partition);
@@ -712,7 +715,7 @@ impl SweepSource for ShardedDataset {
             .map(|(t, f)| files[owners[t]].0.open_reader(f))
             .collect();
         let span_reader = self.merge_ctx.open_reader(&spans);
-        let merged = merge_sweep_readers(&self.merge_ctx, readers, &slabs, span_reader);
+        let merged = merge(readers, &slabs, span_reader);
 
         for (t, f) in slab_files.into_iter().enumerate() {
             let delete = files[owners[t]].0.delete_file(f);
@@ -726,23 +729,54 @@ impl SweepSource for ShardedDataset {
         }
         merged
     }
+}
 
-    /// Each shard scans only its own objects; together exactly the one-file
-    /// scan of the unsharded canonicalization.
-    fn next_breakpoint(
+impl SweepSource for ShardedDataset {
+    type Error = crate::error::CoreError;
+
+    fn merge_ctx(&self) -> &EmContext {
+        &self.merge_ctx
+    }
+
+    fn num_objects(&self) -> u64 {
+        self.len
+    }
+
+    fn slab_bests(
         &self,
         size: RectSize,
         root: Interval,
-        after_x: f64,
         suppressed: &[Rect],
-    ) -> Result<f64> {
-        let mut hi = f64::INFINITY;
+    ) -> Result<Vec<SlabBest>> {
+        self.pass((size, 1.0), root, suppressed, |readers, slabs, spans| {
+            merge_sweep_readers(readers, slabs, spans, None)
+        })
+    }
+
+    fn negated_slab_file(&self, size: RectSize, root: Interval) -> Result<TupleFile<SlabTuple>> {
+        self.pass((size, -1.0), root, &[], |readers, slabs, spans| {
+            merge_into_file(&self.merge_ctx, |writer| {
+                merge_sweep_readers(readers, slabs, spans, Some(writer))
+            })
+        })
+    }
+
+    /// Each shard scans only its own objects; together exactly the one-file
+    /// scan of the unsharded canonicalization.
+    fn next_edges(
+        &self,
+        size: RectSize,
+        root: Interval,
+        after: Point,
+        suppressed: &[Rect],
+    ) -> Result<(f64, f64)> {
+        let (mut x, mut y) = (f64::INFINITY, f64::INFINITY);
         for (ctx, file) in self.shard_files() {
-            hi = hi.min(next_breakpoint_after(
-                ctx, file, size, root, after_x, suppressed,
-            )?);
+            let (sx, sy) = next_edges_after(ctx, file, size, root, after, suppressed)?;
+            x = x.min(sx);
+            y = y.min(sy);
         }
-        Ok(hi)
+        Ok((x, y))
     }
 
     fn candidate_sums(&self, candidates: &[Point], diameter: f64) -> Result<Vec<f64>> {

@@ -44,6 +44,11 @@ impl SlabPartition {
         Interval::new(self.boundaries[i], self.boundaries[i + 1])
     }
 
+    /// The outer slab the partition divides.
+    pub fn outer(&self) -> Interval {
+        Interval::new(self.boundaries[0], self.boundaries[self.num_slabs()])
+    }
+
     /// All sub-slab intervals.
     pub fn slabs(&self) -> Vec<Interval> {
         (0..self.num_slabs()).map(|i| self.slab(i)).collect()

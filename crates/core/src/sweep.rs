@@ -32,7 +32,7 @@
 //! can be a strict sub-interval of the arrangement cell the in-memory sweep
 //! would report.  Stage 4 therefore *widens* the winning interval back to the
 //! full arrangement cell with one extra `O(N/B)` scan of the object file
-//! (see [`next_breakpoint_after`]): both sweeps break ties leftmost-first and
+//! (see [`next_edges_after`]): both sweeps break ties leftmost-first and
 //! agree on the winning event `y`, so after widening the external result —
 //! center, weight **and** max-region — is bit-for-bit identical to
 //! [`max_rs_in_memory`](crate::plane_sweep::max_rs_in_memory()).  The unified
@@ -44,9 +44,9 @@ use maxrs_geometry::{Interval, Point, Rect, RectSize};
 
 use crate::error::{CoreError, Result};
 use crate::exact::ExactMaxRsOptions;
-use crate::merge_sweep::merge_sweep;
+use crate::merge_sweep::{merge_sweep, merge_sweep_bests, SlabBest};
 use crate::parallel::parallel_map;
-use crate::plane_sweep::with_sweep_scratch;
+use crate::plane_sweep::{with_sweep_scratch, SweepScratch};
 use crate::records::{ObjectRecord, RectRecord, SlabTuple};
 use crate::result::MaxRsResult;
 use crate::slab::{compute_partition, distribute, BoundarySource};
@@ -175,7 +175,8 @@ impl<'a> SweepPass<'a> {
 
     /// Stage 1 — streams the object file into a rectangle file of the query
     /// size, scaling weights by the pass's weight scale and dropping
-    /// suppressed objects.  One transform-aware scan
+    /// suppressed objects and rectangles that miss the root slab (the sweep
+    /// would clip them away).  One transform-aware scan
     /// ([`EmContext::filter_map_file`]): `O(N/B)` I/Os, no intermediate
     /// staging.  The input file is left untouched.
     pub fn transform(
@@ -186,8 +187,10 @@ impl<'a> SweepPass<'a> {
         self.ctx
             .filter_map_file(objects, |rec: ObjectRecord| {
                 let p = rec.0.point;
-                (!self.suppressed.iter().any(|r| r.contains_open(&p)))
-                    .then(|| RectRecord::new(rec.0.to_rect(size), self.weight_scale * rec.0.weight))
+                let rect = rec.0.to_rect(size);
+                (rect.clip_x(&self.root).is_some()
+                    && !self.suppressed.iter().any(|r| r.contains_open(&p)))
+                .then(|| RectRecord::new(rect, self.weight_scale * rec.0.weight))
             })
             .map_err(CoreError::from)
     }
@@ -202,6 +205,10 @@ impl<'a> SweepPass<'a> {
     /// node combines its children with one flat MergeSweep, so the output is
     /// the same for every worker count.
     pub fn sweep_rects(&self, rects: TupleFile<RectRecord>) -> Result<TupleFile<SlabTuple>> {
+        Ok(self.sweep(rects, Output::File)?.into_file())
+    }
+
+    fn sweep(&self, rects: TupleFile<RectRecord>, output: Output) -> Result<Solved> {
         let sorted = match self.order {
             InputOrder::Unsorted => {
                 let sorted = external_sort_by_key(self.ctx, &rects, |r| r.center_x())?;
@@ -215,7 +222,7 @@ impl<'a> SweepPass<'a> {
             opts: self.opts,
             workers: self.opts.effective_parallelism(self.ctx.config()),
         };
-        runner.solve(sorted, self.root, true)
+        runner.solve_node(sorted, self.root, true, output, true)
     }
 
     /// Stages 1–3 composed: transform, then sweep.
@@ -226,6 +233,22 @@ impl<'a> SweepPass<'a> {
     ) -> Result<TupleFile<SlabTuple>> {
         let rects = self.transform(objects, size)?;
         self.sweep_rects(rects)
+    }
+
+    /// Stages 1–3 reduced to their answer: the best tuple of every top-level
+    /// sub-slab of the root ([`SlabBest`], in x order), read off the root's
+    /// MergeSweep instead of writing and re-scanning the root slab-file.
+    /// A root solved in memory is one slab.
+    pub fn slab_bests(
+        &self,
+        objects: &TupleFile<ObjectRecord>,
+        size: RectSize,
+    ) -> Result<Vec<SlabBest>> {
+        let rects = self.transform(objects, size)?;
+        match self.sweep(rects, Output::Bests)? {
+            Solved::Bests(bests) => Ok(bests),
+            Solved::File(_) => unreachable!("a bests sweep returns bests"),
+        }
     }
 
     /// Stage 4a — scans a final slab-file for the best tuple and converts it
@@ -246,9 +269,25 @@ impl<'a> SweepPass<'a> {
         size: RectSize,
         result: MaxRsResult,
     ) -> Result<MaxRsResult> {
-        widen_to_breakpoint(result, |x| {
-            next_breakpoint_after(self.ctx, objects, size, self.root, x, self.suppressed)
-        })
+        if !result.region.x_lo.is_finite() && !result.region.x_hi.is_finite() {
+            return Ok(result);
+        }
+        let (x_lo, y_lo) = (result.region.x_lo, result.region.y_lo);
+        let (x_hi, _) = next_edges_after(
+            self.ctx,
+            objects,
+            size,
+            self.root,
+            Point::new(x_lo, y_lo),
+            self.suppressed,
+        )?;
+        let x = Interval::new(x_lo, x_hi);
+        Ok(tuple_result(
+            result.total_weight,
+            x,
+            y_lo,
+            result.region.y_hi,
+        ))
     }
 
     /// The full pipeline: transform → (sort) → sweep → extract →
@@ -266,23 +305,41 @@ impl<'a> SweepPass<'a> {
     }
 }
 
-/// Widens `result`'s max-interval to end at `next_breakpoint(x_lo)`, the
-/// arrangement breakpoint after its lower bound (stage 4b, shared by every
-/// layout that computes that breakpoint).  The empty-dataset sentinel is
-/// returned as is.
-pub(crate) fn widen_to_breakpoint<E>(
-    result: MaxRsResult,
-    next_breakpoint: impl FnOnce(f64) -> std::result::Result<f64, E>,
+/// The canonical MaxRS result of a pass's best tuple (stages 4a and 4b in
+/// one, shared by every layout): `next_edges` at the tuple's lower-left
+/// corner gives the next x-breakpoint, which closes the max-interval, and
+/// the next y-edge, which closes the winning strip exactly where the next
+/// tuple of the merged slab-file would ([`next_edges_after`]).  No tuple
+/// means no object: the empty result.
+pub(crate) fn canonical_result<E>(
+    best: Option<SlabTuple>,
+    next_edges: impl FnOnce(Point) -> std::result::Result<(f64, f64), E>,
 ) -> std::result::Result<MaxRsResult, E> {
-    if !result.region.x_lo.is_finite() && !result.region.x_hi.is_finite() {
-        return Ok(result);
+    let Some(best) = best else {
+        return Ok(MaxRsResult::empty());
+    };
+    let (x_hi, y_hi) = next_edges(Point::new(best.x_lo, best.y))?;
+    let x = if best.x_lo.is_finite() || best.x_hi.is_finite() {
+        Interval::new(best.x_lo, x_hi)
+    } else {
+        best.interval()
+    };
+    Ok(tuple_result(best.sum, x, best.y, y_hi))
+}
+
+/// A result from its weight, max-interval and strip `[y_lo, next_y)`; a
+/// strip with no edge above it gets unit height.
+fn tuple_result(sum: f64, x: Interval, y_lo: f64, next_y: f64) -> MaxRsResult {
+    let y_hi = if next_y > y_lo && next_y.is_finite() {
+        next_y
+    } else {
+        y_lo + 1.0
+    };
+    MaxRsResult {
+        center: Point::new(x.representative(), (y_lo + y_hi) / 2.0),
+        total_weight: sum,
+        region: Rect::new(x.lo, x.hi, y_lo, y_hi),
     }
-    let x = Interval::new(result.region.x_lo, next_breakpoint(result.region.x_lo)?);
-    Ok(MaxRsResult {
-        center: Point::new(x.representative(), result.center.y),
-        total_weight: result.total_weight,
-        region: Rect::new(x.lo, x.hi, result.region.y_lo, result.region.y_hi),
-    })
 }
 
 /// Streams an object file into a rectangle file of the query size (stage 1 of
@@ -296,30 +353,38 @@ pub fn transform_to_rect_file(
     SweepPass::new(ctx, &ExactMaxRsOptions::default()).transform(objects, size)
 }
 
-/// The smallest x-arrangement breakpoint strictly greater than `x`: the edge
-/// of a transformed rectangle (clipped to `slab`) or the slab's upper bound,
-/// whichever comes first; `+∞` when nothing lies beyond `x`.  Objects
-/// strictly inside a `suppressed` rectangle take no part (see
-/// [`SweepPass::with_suppressed`]).
+/// The next arrangement edges after `after`, as `(x, y)`:
 ///
-/// These breakpoints are exactly the leaf boundaries of the in-memory plane
-/// sweep over `slab` (see [`crate::plane_sweep::plane_sweep_slab`]), computed
-/// here with one
-/// sequential `O(N/B)` scan of the object file instead of materializing the
-/// arrangement.  Used to widen distribution-sweep max-intervals back to full
-/// arrangement cells (stage 4 of the kernel).
-pub fn next_breakpoint_after(
+/// * `x` — the smallest x-breakpoint strictly greater than `after.x`: the
+///   edge of a transformed rectangle (clipped to `slab`) or the slab's upper
+///   bound, whichever comes first;
+/// * `y` — the smallest y-edge strictly greater than `after.y` of a
+///   transformed rectangle that meets `slab`.
+///
+/// Either is `+∞` when nothing lies beyond.  Objects strictly inside a
+/// `suppressed` rectangle take no part (see [`SweepPass::with_suppressed`]).
+///
+/// The x-breakpoints are exactly the leaf boundaries of the in-memory plane
+/// sweep over `slab` (see [`crate::plane_sweep::plane_sweep_slab`]), and the
+/// y-edges exactly the event `y`s of the slab's merged slab-file (every
+/// rectangle meeting the slab contributes both of its y-edges as events),
+/// both computed here with one sequential `O(N/B)` scan of the object file
+/// instead of materializing the arrangement.  Used to widen
+/// distribution-sweep max-intervals back to full arrangement cells and to
+/// close the winning strip (stage 4 of the kernel).
+pub fn next_edges_after(
     ctx: &EmContext,
     objects: &TupleFile<ObjectRecord>,
     size: RectSize,
     slab: Interval,
-    x: f64,
+    after: Point,
     suppressed: &[Rect],
-) -> Result<f64> {
-    let mut best = f64::INFINITY;
-    if slab.hi > x {
-        best = slab.hi;
+) -> Result<(f64, f64)> {
+    let mut next_x = f64::INFINITY;
+    if slab.hi > after.x {
+        next_x = slab.hi;
     }
+    let mut next_y = f64::INFINITY;
     let mut reader = ctx.open_reader(objects);
     while let Some(rec) = reader.next_record()? {
         if suppressed.iter().any(|r| r.contains_open(&rec.0.point)) {
@@ -327,13 +392,18 @@ pub fn next_breakpoint_after(
         }
         if let Some(clipped) = rec.0.to_rect(size).clip_x(&slab) {
             for edge in [clipped.x_lo, clipped.x_hi] {
-                if edge > x && edge < best {
-                    best = edge;
+                if edge > after.x && edge < next_x {
+                    next_x = edge;
+                }
+            }
+            for edge in [clipped.y_lo, clipped.y_hi] {
+                if edge > after.y && edge < next_y {
+                    next_y = edge;
                 }
             }
         }
     }
-    Ok(best)
+    Ok((next_x, next_y))
 }
 
 /// Runs the distribution-sweep recursion over an **already distributed**
@@ -367,6 +437,29 @@ pub fn solve_rects(
 /// rectangles crossing a boundary, so they are solved in memory without
 /// recursing again.
 const CHILD_FILL_DIVISOR: usize = 2;
+
+/// What a recursion node hands back: its slab-file, or — at the root of a
+/// pass that needs only the answer — the best tuple of each top-level
+/// sub-slab.
+#[derive(Clone, Copy)]
+enum Output {
+    File,
+    Bests,
+}
+
+enum Solved {
+    File(TupleFile<SlabTuple>),
+    Bests(Vec<SlabBest>),
+}
+
+impl Solved {
+    fn into_file(self) -> TupleFile<SlabTuple> {
+        match self {
+            Solved::File(file) => file,
+            Solved::Bests(_) => unreachable!("a file node returns its file"),
+        }
+    }
+}
 
 struct Runner<'a> {
     ctx: &'a EmContext,
@@ -407,9 +500,24 @@ impl<'a> Runner<'a> {
         slab: Interval,
         sorted: bool,
     ) -> Result<TupleFile<SlabTuple>> {
+        Ok(self
+            .solve_node(input, slab, sorted, Output::File, true)?
+            .into_file())
+    }
+
+    /// [`solve`](Runner::solve) with the node's output chosen by `output`;
+    /// `top` is set for the top node of a recursion.
+    fn solve_node(
+        &self,
+        input: TupleFile<RectRecord>,
+        slab: Interval,
+        sorted: bool,
+        output: Output,
+        top: bool,
+    ) -> Result<Solved> {
         let n = input.len() as usize;
         if n <= self.memory_rects() {
-            return self.solve_in_memory(input, slab);
+            return self.solve_in_memory(input, slab, output, top);
         }
 
         // Divide the slab into m sub-slabs with roughly equal rectangle counts.
@@ -423,7 +531,7 @@ impl<'a> Runner<'a> {
             // Heavy ties on x: no vertical split can make progress.  Fall back
             // to the in-memory sweep (documented guard; never triggered by the
             // paper's workloads).
-            return self.solve_in_memory(input, slab);
+            return self.solve_in_memory(input, slab, output, top);
         }
 
         let dist = distribute(self.ctx, &input, &partition)?;
@@ -439,8 +547,14 @@ impl<'a> Runner<'a> {
         // including the span events — so a failed run leaves no orphans on a
         // long-lived context.
         let workers = self.workers.min(partition.num_slabs());
-        let merge_result =
-            self.conquer_and_combine(dist.slab_inputs, &partition, &dist.span_events, workers, n);
+        let merge_result = self.conquer_and_combine(
+            dist.slab_inputs,
+            &partition,
+            &dist.span_events,
+            workers,
+            n,
+            output,
+        );
         let merged = match merge_result {
             Ok(merged) => merged,
             Err(e) => {
@@ -453,8 +567,9 @@ impl<'a> Runner<'a> {
     }
 
     /// Solves every sub-slab (in parallel when `workers > 1`) and combines the
-    /// child slab-files with the span events in one MergeSweep.  On failure,
-    /// all successfully produced child files are deleted before the error is
+    /// child slab-files with the span events in one MergeSweep, into the
+    /// node's slab-file or its sub-slabs' bests.  On failure, all
+    /// successfully produced child files are deleted before the error is
     /// returned; the span-events file stays with the caller.
     fn conquer_and_combine(
         &self,
@@ -463,7 +578,8 @@ impl<'a> Runner<'a> {
         span_events: &TupleFile<crate::records::SpanEvent>,
         workers: usize,
         parent_size: usize,
-    ) -> Result<TupleFile<SlabTuple>> {
+        output: Output,
+    ) -> Result<Solved> {
         let outcomes = if workers > 1 {
             let child = Runner {
                 ctx: self.ctx,
@@ -502,7 +618,15 @@ impl<'a> Runner<'a> {
 
         // One flat MergeSweep over all children, whichever way they were
         // solved: the output is the same for every worker count.
-        let merged = merge_sweep(self.ctx, &child_files, &partition.slabs(), span_events);
+        let slabs = partition.slabs();
+        let merged = match output {
+            Output::File => {
+                merge_sweep(self.ctx, &child_files, &slabs, span_events).map(Solved::File)
+            }
+            Output::Bests => {
+                merge_sweep_bests(self.ctx, &child_files, &slabs, span_events).map(Solved::Bests)
+            }
+        };
         for f in child_files {
             let deleted = self.ctx.delete_file(f);
             if merged.is_ok() {
@@ -521,33 +645,69 @@ impl<'a> Runner<'a> {
         slab: Interval,
         parent_size: usize,
     ) -> Result<TupleFile<SlabTuple>> {
-        if input.len() as usize >= parent_size && input.len() as usize > self.memory_rects() {
-            return self.solve_in_memory(input, slab);
-        }
-        self.solve(input, slab, false)
+        let solved =
+            if input.len() as usize >= parent_size && input.len() as usize > self.memory_rects() {
+                self.solve_in_memory(input, slab, Output::File, false)?
+            } else {
+                self.solve_node(input, slab, false, Output::File, false)?
+            };
+        Ok(solved.into_file())
     }
 
     fn solve_in_memory(
         &self,
         input: TupleFile<RectRecord>,
         slab: Interval,
-    ) -> Result<TupleFile<SlabTuple>> {
+        output: Output,
+        top: bool,
+    ) -> Result<Solved> {
         let rects = self.ctx.read_all(&input)?;
         if !self.opts.keep_intermediates {
             self.ctx.delete_file(input)?;
         }
-        // Borrow the worker thread's sweep scratch: the recursion sweeps one
-        // in-memory slab after another on this thread, and the breakpoint /
-        // event / segment-tree buffers are reused across all of them.
-        let mut writer = self.ctx.create_writer::<SlabTuple>()?;
-        with_sweep_scratch(|scratch| -> Result<()> {
-            for t in scratch.sweep(&rects, slab) {
-                writer.push(t)?;
+        match output {
+            Output::File => {
+                let mut writer = self.ctx.create_writer::<SlabTuple>()?;
+                with_node_scratch(top, |scratch| -> Result<()> {
+                    for t in scratch.sweep(&rects, slab) {
+                        writer.push(t)?;
+                    }
+                    Ok(())
+                })?;
+                Ok(Solved::File(writer.finish()?))
             }
-            Ok(())
-        })?;
-        writer.finish().map_err(CoreError::from)
+            Output::Bests => {
+                let best = with_node_scratch(top, |scratch| first_max(scratch.sweep(&rects, slab)));
+                Ok(Solved::Bests(vec![SlabBest { slab, best }]))
+            }
+        }
     }
+}
+
+/// Calls `f` with the sweep scratch of a node solved in memory.  Nodes below
+/// the top borrow their worker thread's scratch: the recursion sweeps one
+/// slab after another there, and the breakpoint / event / segment-tree
+/// buffers are reused across all of them.  The top node usually runs on the
+/// caller's long-lived thread (a top-k window, one shard's slab), so it gets
+/// a scratch of its own, freed with it, instead of leaving buffers for up to
+/// `M` rectangles on that thread after the query.
+fn with_node_scratch<R>(top: bool, f: impl FnOnce(&mut SweepScratch) -> R) -> R {
+    if top {
+        f(&mut SweepScratch::new())
+    } else {
+        with_sweep_scratch(f)
+    }
+}
+
+/// The first tuple of greatest sum in a y-sorted slab-file's tuples.
+fn first_max<'t>(tuples: impl IntoIterator<Item = &'t SlabTuple>) -> Option<SlabTuple> {
+    tuples.into_iter().fold(None, |best, &t| {
+        if best.is_none_or(|b| t.sum > b.sum) {
+            Some(t)
+        } else {
+            best
+        }
+    })
 }
 
 /// Scans the final slab-file for the best tuple and converts it into a result.
@@ -567,19 +727,14 @@ pub fn extract_best(ctx: &EmContext, slab_file: &TupleFile<SlabTuple>) -> Result
             awaiting_next = true;
         }
     }
-    let best = match best {
-        Some(b) => b,
-        None => return Ok(MaxRsResult::empty()),
-    };
-    let y_lo = best.y;
-    let y_hi = best_next_y.filter(|&y| y > y_lo).unwrap_or(y_lo + 1.0);
-    let x = best.interval();
-    let region = Rect::new(x.lo, x.hi, y_lo, y_hi);
-    let center = Point::new(x.representative(), (y_lo + y_hi) / 2.0);
-    Ok(MaxRsResult {
-        center,
-        total_weight: best.sum,
-        region,
+    Ok(match best {
+        Some(b) => tuple_result(
+            b.sum,
+            b.interval(),
+            b.y,
+            best_next_y.unwrap_or(f64::INFINITY),
+        ),
+        None => MaxRsResult::empty(),
     })
 }
 
@@ -679,6 +834,48 @@ mod tests {
         assert_eq!(right_only.total_weight, 10.0);
         assert!(right_only.center.x >= 400.0 && right_only.center.x <= 600.0);
         ctx.delete_file(file).unwrap();
+    }
+
+    /// The canonicalization scan's next y-edge is exactly the upper bound
+    /// `extract_best` reads off the next tuple of the merged root
+    /// slab-file, and the per-slab bests canonicalized by the scan equal
+    /// the write-then-scan pipeline — with the root solved in memory and
+    /// through a recursion.
+    #[test]
+    fn scan_edges_close_the_winning_strip_like_the_merged_file() {
+        let ctx = tiny_ctx();
+        for (seed, memory_rects) in [(3, 1000), (5, 16), (8, 40), (13, 7)] {
+            let objects = pseudo_random_objects(350, seed, 600.0);
+            let file = load_objects(&ctx, &objects).unwrap();
+            let sorted = sort_objects_by_x(&ctx, &file).unwrap();
+            let opts = ExactMaxRsOptions {
+                memory_rects: Some(memory_rects),
+                ..ExactMaxRsOptions::sequential()
+            };
+            let pass = SweepPass::presorted(&ctx, &opts);
+            let size = RectSize::new(70.0, 45.0);
+
+            let slab_file = pass.slab_file(&sorted, size).unwrap();
+            let extracted = pass.extract_best(&slab_file).unwrap();
+            ctx.delete_file(slab_file).unwrap();
+            let corner = Point::new(extracted.region.x_lo, extracted.region.y_lo);
+            let scan =
+                |p: Point| next_edges_after(&ctx, &sorted, size, Interval::UNBOUNDED, p, &[]);
+            let (_, next_y) = scan(corner).unwrap();
+            assert_eq!(extracted.region.y_hi, next_y, "seed {seed}");
+
+            let bests = pass.slab_bests(&sorted, size).unwrap();
+            assert_eq!(bests.len() > 1, memory_rects < 350, "seed {seed}");
+            let incremental = canonical_result(crate::best_of(&bests), scan).unwrap();
+            assert_eq!(
+                incremental,
+                pass.max_rs(&sorted, size).unwrap(),
+                "seed {seed}"
+            );
+            assert_eq!(incremental, max_rs_in_memory(&objects, size), "seed {seed}");
+            ctx.delete_file(file).unwrap();
+            ctx.delete_file(sorted).unwrap();
+        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! strictly inside the chosen rectangles ([`SweepPass::with_suppressed`])
 //! answers exactly like the same pass over a file from which those objects
 //! were filtered — for the transform, the full MaxRS pipeline and the
-//! canonicalization breakpoint.  Objects on a grid put many of them exactly
+//! canonicalization edges.  Objects on a grid put many of them exactly
 //! on rectangle edges and corners, where they must *not* be suppressed, and
 //! chosen rectangles may overlap or repeat.
 
-use maxrs_core::{load_objects, next_breakpoint_after, ExactMaxRsOptions, SweepPass};
+use maxrs_core::{load_objects, next_edges_after, ExactMaxRsOptions, SweepPass};
 use maxrs_em::{EmConfig, EmContext};
 use maxrs_geometry::{Interval, Point, Rect, RectSize, WeightedPoint};
 use proptest::prelude::*;
@@ -58,10 +58,10 @@ proptest! {
             plain.max_rs(&kept_file, size).unwrap()
         );
 
-        let x = after_x as f64 * 0.5;
+        let after = Point::new(after_x as f64 * 0.5, after_x as f64 * 0.25);
         prop_assert_eq!(
-            next_breakpoint_after(&ctx, &all_file, size, Interval::UNBOUNDED, x, &chosen).unwrap(),
-            next_breakpoint_after(&ctx, &kept_file, size, Interval::UNBOUNDED, x, &[]).unwrap()
+            next_edges_after(&ctx, &all_file, size, Interval::UNBOUNDED, after, &chosen).unwrap(),
+            next_edges_after(&ctx, &kept_file, size, Interval::UNBOUNDED, after, &[]).unwrap()
         );
     }
 }

@@ -526,6 +526,29 @@ mod tests {
     }
 
     #[test]
+    fn inserts_reject_invalid_objects_with_their_index() {
+        let registry = DatasetRegistry::new(external_engine());
+        let mut data = objects(100, 5);
+        data[42] = WeightedPoint {
+            point: maxrs_geometry::Point::new(f64::NAN, 1.0),
+            weight: 1.0,
+        };
+        let invalid_at_42 = |e: ServeError| {
+            matches!(
+                e,
+                ServeError::Core(maxrs_core::CoreError::InvalidObject { index: 42, .. })
+            )
+        };
+        assert!(invalid_at_42(registry.insert("a", &data).unwrap_err()));
+        assert!(invalid_at_42(
+            registry
+                .insert_sharded("b", &data, &ShardLayout::new(2))
+                .unwrap_err()
+        ));
+        assert!(registry.is_empty());
+    }
+
+    #[test]
     fn insert_get_evict_roundtrip() {
         let registry = DatasetRegistry::new(MaxRsEngine::new());
         assert!(registry.is_empty());
